@@ -69,13 +69,13 @@ add_test(NAME bench_perf_engine_smoke
 # run.
 add_test(NAME bench_scale_smoke
          COMMAND scale --smoke --out ${CMAKE_BINARY_DIR}/BENCH_scale_smoke.json)
-# RUN_SERIAL: the ratchet consumes this test's wall-clock ratios, so it must
-# not share the machine with other tests under `ctest -j`.
+# RUN_SERIAL: the ratchet consumes this test's timing ratios, so it must not
+# share the machine with other tests under `ctest -j`.
 set_tests_properties(bench_scale_smoke PROPERTIES TIMEOUT 600
   FIXTURES_SETUP scale_smoke_json RUN_SERIAL TRUE)
 
 # Speedup ratchet against the committed smoke baseline: the full/incremental
-# wall-time ratio is machine-paired, so a drop below 0.9x baseline means the
+# CPU-time ratio is machine-paired, so a drop below 0.9x baseline means the
 # incremental engine lost its fast path, not that CI was slow. Lives in
 # tools/ but is registered here because it reuses prophet_bench_common's
 # BenchJson reader.

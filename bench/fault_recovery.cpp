@@ -52,8 +52,7 @@ ps::ClusterConfig point_config(const Point& point,
   cfg.batch = point.batch;
   cfg.num_workers = point.workers;
   cfg.iterations = point.iterations;
-  cfg.worker_bandwidth = point.bandwidth;
-  cfg.ps_bandwidth = point.bandwidth;
+  cfg.topology = net::TopologySpec::star(point.bandwidth, point.bandwidth);
   cfg.strategy = strategy;
   cfg.strategy.prophet_config.profile_iterations = 4;
   cfg.ps_shards = point.ps_shards;

@@ -19,7 +19,7 @@ int run() {
   for (std::size_t workers : worker_counts) {
     auto cfg = paper_cluster(dnn::resnet50(), 64, workers, Bandwidth::gbps(10),
                              ps::StrategyConfig::prophet(), 32);
-    cfg.ps_bandwidth = Bandwidth::gbps(5.0 * static_cast<double>(workers));
+    cfg.topology->ps_bandwidth = Bandwidth::gbps(5.0 * static_cast<double>(workers));
     configs.push_back(std::move(cfg));
   }
   const auto results = run_all(configs);

@@ -19,7 +19,7 @@ int run() {
   for (const auto& contender : all_contenders()) {
     auto cfg = paper_cluster(dnn::resnet50(), 64, 3, Bandwidth::gbps(10),
                              contender.strategy, 36);
-    cfg.worker_bandwidth_override = {Bandwidth::mbps(500)};
+    cfg.topology->worker_bandwidth_override = {Bandwidth::mbps(500)};
     configs.push_back(std::move(cfg));
   }
   const auto results = run_all(configs);
@@ -41,7 +41,7 @@ int run() {
   // ASP extension (paper future work): the fast workers decouple.
   auto asp_cfg = paper_cluster(dnn::resnet50(), 64, 3, Bandwidth::gbps(10),
                                ps::StrategyConfig::prophet(), 36);
-  asp_cfg.worker_bandwidth_override = {Bandwidth::mbps(500)};
+  asp_cfg.topology->worker_bandwidth_override = {Bandwidth::mbps(500)};
   asp_cfg.sync = ps::SyncMode::kAsp;
   const auto asp = ps::run_cluster(asp_cfg);
   std::printf("\nASP extension: per-worker rates with asynchronous updates: ");

@@ -107,7 +107,7 @@ void BM_FullIterationSimulation(benchmark::State& state) {
   cfg.num_workers = 3;
   cfg.batch = 64;
   cfg.iterations = 12;
-  cfg.worker_bandwidth = Bandwidth::gbps(3);
+  cfg.topology = net::TopologySpec::star(Bandwidth::gbps(3), Bandwidth::gbps(10));
   cfg.strategy = state.range(0) == 0 ? ps::StrategyConfig::fifo()
                                      : ps::StrategyConfig::prophet();
   cfg.strategy.prophet_config.profile_iterations = 4;

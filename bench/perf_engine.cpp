@@ -178,7 +178,7 @@ ClusterPerf time_cluster(int reps, std::size_t iterations) {
   cfg.num_workers = 3;
   cfg.batch = 64;
   cfg.iterations = iterations;
-  cfg.worker_bandwidth = Bandwidth::gbps(3);
+  cfg.topology = net::TopologySpec::star(Bandwidth::gbps(3), Bandwidth::gbps(10));
   cfg.strategy = ps::StrategyConfig::prophet();
   cfg.strategy.prophet_config.profile_iterations = 4;
   std::uint64_t events = 0;

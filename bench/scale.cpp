@@ -6,10 +6,11 @@
 //      64/256 workers; 2/4 packed jobs on a leaf-spine fabric) is simulated
 //      twice — RebalanceMode::kFull (the original whole-network progressive
 //      filling on every flow event) vs kIncremental (component-local
-//      rebalance) — and the end-to-end wall-time ratio is the speedup. The
-//      modes may order same-instant completions differently, so the cells
-//      compare *iteration completion* rather than event-stream fingerprints;
-//      rate-level bit-identity is proved by tests/test_incremental_rates.
+//      rebalance) — and the ratio of the two arms' thread CPU times is the
+//      speedup. The modes may order same-instant completions differently, so
+//      the cells compare *iteration completion* rather than event-stream
+//      fingerprints; rate-level bit-identity is proved by
+//      tests/test_incremental_rates.
 //
 //   2. The deterministic parallel sweep executor. A block of independent
 //      seed runs executes through exec::run_sweep at 1 thread and at
@@ -32,8 +33,10 @@
 // take tens of minutes, which is the point of the rate-group engine).
 //
 // Usage: scale [--smoke] [--big] [--out PATH]
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <ctime>
 #include <functional>
 #include <sstream>
 #include <string>
@@ -56,6 +59,15 @@ double now_ms() {
       .count();
 }
 
+// CPU time of the calling thread. A cell simulates on this thread alone, so
+// time spent waiting for a core on a shared runner is left out instead of
+// landing on whichever arm it happened to hit.
+double thread_cpu_ms() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 + static_cast<double>(ts.tv_nsec) * 1e-6;
+}
+
 // Star fabric: one PS, `workers` hosts pushing/pulling toy_cnn through a
 // 10 Gbps PS NIC — the incast regime where every arrival used to trigger a
 // whole-network refill.
@@ -67,8 +79,7 @@ ps::ClusterConfig star_config(std::size_t workers, std::size_t iterations,
   cfg.batch = 32;
   cfg.iterations = iterations;
   cfg.seed = seed;
-  cfg.worker_bandwidth = Bandwidth::gbps(1);
-  cfg.ps_bandwidth = Bandwidth::gbps(10);
+  cfg.topology = net::TopologySpec::star(Bandwidth::gbps(1), Bandwidth::gbps(10));
   cfg.strategy = ps::StrategyConfig::fifo();
   cfg.rate_rebalance = mode;
   cfg.metrics_horizon = Duration::seconds(3600);
@@ -106,7 +117,7 @@ cluster::MultiJobConfig spine_config(std::size_t jobs,
 }
 
 struct RunStats {
-  double wall_ms = 0.0;
+  double cpu_ms = 0.0;
   std::uint64_t events = 0;
   // Simulated clock at the end of the run: with bit-identical rates the two
   // rebalance modes must land on the same nanosecond.
@@ -131,10 +142,10 @@ struct Cell {
 RunStats run_star(std::size_t workers, std::size_t iterations,
                   net::RebalanceMode mode) {
   const auto cfg = star_config(workers, iterations, 42, mode);
-  const double t0 = now_ms();
+  const double t0 = thread_cpu_ms();
   const auto result = ps::run_cluster(cfg, 1);
   RunStats stats;
-  stats.wall_ms = now_ms() - t0;
+  stats.cpu_ms = thread_cpu_ms() - t0;
   stats.events = result.events_fired;
   stats.sim_ns = result.simulated_time.count_nanos();
   stats.rebalance = result.rebalance;
@@ -148,10 +159,10 @@ RunStats run_star(std::size_t workers, std::size_t iterations,
 RunStats run_spine(std::size_t jobs, std::size_t workers_per_job,
                    std::size_t iterations, net::RebalanceMode mode) {
   const auto cfg = spine_config(jobs, workers_per_job, iterations, mode);
-  const double t0 = now_ms();
+  const double t0 = thread_cpu_ms();
   const auto result = cluster::run_multi_job(cfg);
   RunStats stats;
-  stats.wall_ms = now_ms() - t0;
+  stats.cpu_ms = thread_cpu_ms() - t0;
   stats.events = result.events_fired;
   stats.sim_ns = result.makespan.count_nanos();
   stats.rebalance = result.rebalance;
@@ -242,29 +253,39 @@ int main(int argc, char** argv) {
   BenchJson json{out_path};
   bool ok = true;
 
-  // Per-arm wall budget for the CI smoke: the shrunk cells run in well under
+  // Per-arm CPU budget for the CI smoke: the shrunk cells run in well under
   // a second, so a minute means the fast path degenerated to something
   // pathological, not that the runner was slow.
   const double smoke_budget_ms = 60000.0;
 
   // Smoke cells are tiny (milliseconds per arm), so the speedup the ratchet
-  // tracks is taken best-of-3: the simulation is deterministic, repeats only
-  // tighten the wall-clock floor against scheduler noise.
-  const int repeats = smoke ? 3 : 1;
-  const auto measure = [&](const Cell& cell, net::RebalanceMode mode) {
-    RunStats best = cell.run(mode);
-    for (int r = 1; r < repeats; ++r) {
-      const RunStats again = cell.run(mode);
-      best.finished = best.finished && again.finished;
-      if (again.wall_ms < best.wall_ms) best.wall_ms = again.wall_ms;
-    }
-    return best;
+  // tracks is each arm's fastest run, and the arms alternate so that a slow
+  // spell on a shared runner reaches both arms rather than one. Runs repeat
+  // until the incremental arm has run at least 5 times and for 600 ms in
+  // all: on a busy host, spine_2x8's fastest-run ratio settled only after
+  // ~100 pairs. The simulation is deterministic; repeats only tighten the
+  // time floor.
+  const int min_repeats = smoke ? 5 : 1;
+  const double min_incr_total_ms = smoke ? 600.0 : 0.0;
+  const auto keep_faster = [](RunStats& best, const RunStats& again) {
+    best.finished = best.finished && again.finished;
+    best.cpu_ms = std::min(best.cpu_ms, again.cpu_ms);
   };
 
   std::printf("  %-16s %10s %12s %12s %9s %11s\n", "cell", "workers",
               "full_ms", "incr_ms", "speedup", "settle/ev");
   for (const Cell& cell : cells) {
-    const RunStats incr = measure(cell, net::RebalanceMode::kIncremental);
+    const bool paired = !cell.incremental_only;
+    RunStats incr = cell.run(net::RebalanceMode::kIncremental);
+    RunStats full;
+    if (paired) full = cell.run(net::RebalanceMode::kFull);
+    double incr_total_ms = incr.cpu_ms;
+    for (int r = 1; r < min_repeats || incr_total_ms < min_incr_total_ms; ++r) {
+      const RunStats again = cell.run(net::RebalanceMode::kIncremental);
+      incr_total_ms += again.cpu_ms;
+      keep_faster(incr, again);
+      if (paired) keep_faster(full, cell.run(net::RebalanceMode::kFull));
+    }
     const net::RebalanceStats& rs = incr.rebalance;
     const double settled_per_event =
         incr.events > 0
@@ -272,7 +293,7 @@ int main(int argc, char** argv) {
             : 0.0;
     json.clear_section(cell.label);
     json.set(cell.label, "workers", static_cast<double>(cell.total_workers));
-    json.set(cell.label, "incremental_ms", incr.wall_ms);
+    json.set(cell.label, "incremental_ms", incr.cpu_ms);
     json.set(cell.label, "events", static_cast<double>(incr.events));
     json.set(cell.label, "rebalances", static_cast<double>(rs.rebalances));
     json.set(cell.label, "flows_settled", static_cast<double>(rs.flows_settled));
@@ -287,23 +308,22 @@ int main(int argc, char** argv) {
                    cell.label.c_str());
       ok = false;
     }
-    if (smoke && incr.wall_ms > smoke_budget_ms) {
+    if (smoke && incr.cpu_ms > smoke_budget_ms) {
       std::fprintf(stderr, "FAIL: cell %s incremental arm blew the smoke budget "
                    "(%.1f ms > %.1f ms)\n",
-                   cell.label.c_str(), incr.wall_ms, smoke_budget_ms);
+                   cell.label.c_str(), incr.cpu_ms, smoke_budget_ms);
       ok = false;
     }
-    if (cell.incremental_only) {
+    if (!paired) {
       std::printf("  %-16s %10zu %12s %12.1f %9s %11.2f\n", cell.label.c_str(),
-                  cell.total_workers, "-", incr.wall_ms, "-", settled_per_event);
+                  cell.total_workers, "-", incr.cpu_ms, "-", settled_per_event);
       continue;
     }
-    const RunStats full = measure(cell, net::RebalanceMode::kFull);
-    const double speedup = full.wall_ms / incr.wall_ms;
+    const double speedup = full.cpu_ms / incr.cpu_ms;
     std::printf("  %-16s %10zu %12.1f %12.1f %8.2fx %11.2f\n",
-                cell.label.c_str(), cell.total_workers, full.wall_ms,
-                incr.wall_ms, speedup, settled_per_event);
-    json.set(cell.label, "full_ms", full.wall_ms);
+                cell.label.c_str(), cell.total_workers, full.cpu_ms,
+                incr.cpu_ms, speedup, settled_per_event);
+    json.set(cell.label, "full_ms", full.cpu_ms);
     json.set(cell.label, "speedup", speedup);
     json.set(cell.label, "full_rebalances", static_cast<double>(full.rebalance.rebalances));
     json.set(cell.label, "full_flows_settled",
@@ -313,10 +333,10 @@ int main(int argc, char** argv) {
                    cell.label.c_str());
       ok = false;
     }
-    if (smoke && full.wall_ms > smoke_budget_ms) {
+    if (smoke && full.cpu_ms > smoke_budget_ms) {
       std::fprintf(stderr, "FAIL: cell %s full arm blew the smoke budget "
                    "(%.1f ms > %.1f ms)\n",
-                   cell.label.c_str(), full.wall_ms, smoke_budget_ms);
+                   cell.label.c_str(), full.cpu_ms, smoke_budget_ms);
       ok = false;
     }
     // Star cells: one job, one fabric — bit-identical rates mean the two

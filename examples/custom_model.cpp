@@ -65,7 +65,7 @@ int main() {
   cfg.model = model;
   cfg.batch = 128;
   cfg.num_workers = 2;
-  cfg.worker_bandwidth = Bandwidth::gbps(1);
+  cfg.topology = net::TopologySpec::star(Bandwidth::gbps(1), Bandwidth::gbps(10));
   cfg.iterations = 30;
   cfg.strategy = ps::StrategyConfig::prophet();
   cfg.strategy.prophet_config.profile_iterations = 6;

@@ -110,26 +110,22 @@ int main(int argc, char** argv) {
   cfg.model = dnn::model_by_name(flags->get("model", std::string{"resnet50"}));
   cfg.batch = static_cast<int>(flags->get("batch", std::int64_t{64}));
   cfg.num_workers = static_cast<std::size_t>(flags->get("workers", std::int64_t{3}));
-  cfg.worker_bandwidth = Bandwidth::gbps(flags->get("gbps", 3.0));
-  cfg.ps_bandwidth = Bandwidth::gbps(flags->get("ps-gbps", 10.0));
-  // --topology switches the config to the explicit TopologySpec API; without
-  // it the legacy flat-bandwidth star shims stay in effect.
-  if (flags->has("topology")) {
-    std::string topo_error;
-    auto spec = net::TopologySpec::from_cli(
-        flags->get("topology", std::string{"star"}), &topo_error);
-    if (!spec.has_value()) {
-      std::fprintf(stderr, "%s\n", topo_error.c_str());
-      return 1;
-    }
-    if (spec->kind == net::TopologySpec::Kind::kStar) {
-      *spec = net::TopologySpec::star(cfg.worker_bandwidth, cfg.ps_bandwidth);
-    } else {
-      spec->host_bandwidth = cfg.worker_bandwidth;
-      spec->oversubscription = flags->get("oversub", 4.0);
-    }
-    cfg.topology = *spec;
+  const Bandwidth host_bandwidth = Bandwidth::gbps(flags->get("gbps", 3.0));
+  std::string topo_error;
+  auto spec = net::TopologySpec::from_cli(
+      flags->get("topology", std::string{"star"}), &topo_error);
+  if (!spec.has_value()) {
+    std::fprintf(stderr, "%s\n", topo_error.c_str());
+    return 1;
   }
+  if (spec->kind == net::TopologySpec::Kind::kStar) {
+    *spec = net::TopologySpec::star(host_bandwidth,
+                                    Bandwidth::gbps(flags->get("ps-gbps", 10.0)));
+  } else {
+    spec->host_bandwidth = host_bandwidth;
+    spec->oversubscription = flags->get("oversub", 4.0);
+  }
+  cfg.topology = *spec;
   cfg.ps_shards = static_cast<std::size_t>(flags->get("ps-shards", std::int64_t{1}));
   cfg.iterations = static_cast<std::size_t>(flags->get("iterations", std::int64_t{40}));
   cfg.seed = static_cast<std::uint64_t>(flags->get("seed", std::int64_t{42}));
@@ -189,18 +185,18 @@ int main(int argc, char** argv) {
   const std::string arch = flags->get("arch", std::string{"ps"});
   std::printf("%s | %s | %zu workers | %s | batch %d | %zu iterations",
               arch.c_str(), cfg.model.name().c_str(), cfg.num_workers,
-              format_bandwidth(cfg.worker_bandwidth).c_str(), cfg.batch,
+              format_bandwidth(host_bandwidth).c_str(), cfg.batch,
               cfg.iterations);
   if (!cfg.dynamics.empty()) {
     std::printf(" | %zu dynamics events", cfg.dynamics.events.size());
   }
   std::printf("\n");
 
+  const auto jobs = static_cast<std::size_t>(flags->get("jobs", std::int64_t{1}));
   if (arch == "allreduce") {
-    if (!cfg.dynamics.empty()) {
-      std::fprintf(stderr,
-                   "warning: dynamics/fault flags only apply to --arch ps; "
-                   "the allreduce ring ignores them\n");
+    if (jobs > 1) {
+      std::fprintf(stderr, "--jobs > 1 needs --arch ps (the ring runs one job)\n");
+      return 1;
     }
     const auto result = ar::run_allreduce(cfg);
     std::printf("[%s/ring] rate %.2f samples/s/worker, GPU utilization %.1f%%\n",
@@ -213,7 +209,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const auto jobs = static_cast<std::size_t>(flags->get("jobs", std::int64_t{1}));
   if (jobs > 1) {
     const std::string placement_name =
         flags->get("placement", std::string{"network-aware"});
@@ -233,7 +228,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     cluster::MultiJobConfig mcfg;
-    mcfg.topology = cfg.resolved_topology();
+    mcfg.topology = *cfg.topology;
     mcfg.placement = *placement;
     mcfg.interleave = *interleave;
     for (std::size_t j = 0; j < jobs; ++j) {

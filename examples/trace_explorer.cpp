@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   cfg.model = dnn::resnet50();
   cfg.batch = 64;
   cfg.num_workers = 3;
-  cfg.worker_bandwidth = Bandwidth::gbps(2);
+  cfg.topology = net::TopologySpec::star(Bandwidth::gbps(2), Bandwidth::gbps(10));
   cfg.iterations = 24;
   cfg.strategy = *strategy;
   cfg.strategy.prophet_config.profile_iterations = 6;

@@ -8,37 +8,44 @@
 #include "common/check.hpp"
 #include "net/flow_network.hpp"
 #include "net/monitor.hpp"
+#include "net/topology.hpp"
 #include "ps/strategy.hpp"
 #include "sim/simulator.hpp"
 
 namespace prophet::ar {
 
-double AllReduceResult::mean_rate() const {
-  PROPHET_CHECK(!workers.empty());
-  double total = 0.0;
-  for (const auto& w : workers) total += w.rate_samples_per_sec;
-  return total / static_cast<double>(workers.size());
-}
+ps::ClusterResult run_allreduce(const ps::ClusterConfig& cfg,
+                                std::optional<std::size_t> measure_first) {
+  cfg.validate();
+  PROPHET_CHECK_MSG(cfg.num_workers >= 2,
+                    "ar::run_allreduce: ClusterConfig::num_workers must be >= 2 "
+                    "to form a ring");
+  PROPHET_CHECK_MSG(cfg.dynamics.empty(),
+                    "ar::run_allreduce: ClusterConfig::dynamics must be empty — "
+                    "the ring models no network dynamics or faults");
+  PROPHET_CHECK_MSG(cfg.ps_shards == 1,
+                    "ar::run_allreduce: ClusterConfig::ps_shards must be 1 — "
+                    "the ring has no parameter server to shard");
+  PROPHET_CHECK_MSG(cfg.sync == ps::SyncMode::kBsp,
+                    "ar::run_allreduce: ClusterConfig::sync must be kBsp — "
+                    "ring collectives are synchronous");
+  PROPHET_CHECK_MSG(cfg.reliability.loss_rate == 0.0,
+                    "ar::run_allreduce: ClusterConfig::reliability.loss_rate "
+                    "must be 0 — the ring has no reliable channel");
+  const std::size_t first =
+      measure_first.has_value() ? *measure_first : cfg.default_measure_first();
+  const std::size_t last = cfg.iterations;
 
-double AllReduceResult::mean_utilization() const {
-  PROPHET_CHECK(!workers.empty());
-  double total = 0.0;
-  for (const auto& w : workers) total += w.gpu_utilization;
-  return total / static_cast<double>(workers.size());
-}
-
-AllReduceResult run_allreduce(const ps::ClusterConfig& cfg,
-                              std::optional<std::size_t> measure_first) {
-  PROPHET_CHECK(cfg.num_workers >= 2);
   sim::Simulator sim;
   const net::TcpCostModel cost{cfg.tcp};
   net::FlowNetwork network{sim, cost, cfg.rate_rebalance};
   network.set_verify_rates(cfg.verify_rates);
+  net::BuiltTopology topology{network, *cfg.topology};
 
   std::vector<net::NodeId> nodes;
   for (std::size_t w = 0; w < cfg.num_workers; ++w) {
-    const Bandwidth bw = cfg.bandwidth_of_worker(w);
-    nodes.push_back(network.add_node("worker" + std::to_string(w), bw, bw));
+    nodes.push_back(topology.add_host("worker" + std::to_string(w),
+                                      cfg.bandwidth_of_worker(w)));
   }
 
   const dnn::IterationModel iteration_model{cfg.model, cfg.gpu, cfg.batch,
@@ -78,34 +85,37 @@ AllReduceResult run_allreduce(const ps::ClusterConfig& cfg,
   while (!all_done() && sim.now() < horizon) {
     if (!sim.step()) break;
   }
-  PROPHET_CHECK_MSG(all_done(), "all-reduce training did not finish in time");
+  PROPHET_CHECK_MSG(all_done(),
+                    "all-reduce training did not finish within "
+                    "ClusterConfig::metrics_horizon");
   const Duration span = sim.now() - TimePoint::origin();
   for (auto& worker : workers) worker->finish();
   monitor.stop();
   sim.run_until(horizon);
 
-  std::size_t first = measure_first.value_or(0);
-  if (!measure_first.has_value()) {
-    std::size_t warmup = 3;
-    if (cfg.strategy.kind == ps::StrategyConfig::Kind::kProphet) {
-      warmup = cfg.strategy.prophet_config.profile_iterations + 3;
-    }
-    PROPHET_CHECK(warmup + 1 < cfg.iterations);
-    first = warmup;
-  }
-
-  AllReduceResult result;
+  ps::ClusterResult result;
   result.measure_first = first;
-  result.measure_last = cfg.iterations;
+  result.measure_last = last;
   result.simulated_time = span;
-  for (const auto& worker : workers) {
-    const auto& tm = worker->training_metrics();
-    AllReduceResult::WorkerStats stats;
-    stats.iterations_completed = worker->current_iteration();
-    stats.rate_samples_per_sec = tm.rate_samples_per_sec(first, cfg.iterations);
-    stats.gpu_utilization = worker->gpu().utilization(
-        tm.iteration_start(first), tm.iteration_start(cfg.iterations));
-    result.workers.push_back(stats);
+  result.events_fired = sim.events_fired();
+  result.rebalance = network.rebalance_stats();
+  for (std::size_t w = 0; w < workers.size(); ++w) {
+    const Worker& worker = *workers[w];
+    const auto& tm = worker.training_metrics();
+    result.workers.push_back(
+        {.id = w,
+         .rate_samples_per_sec = tm.rate_samples_per_sec(first, last),
+         .gpu_utilization = worker.gpu().utilization(tm.iteration_start(first),
+                                                     tm.iteration_start(last)),
+         .iterations_completed = worker.current_iteration(),
+         .prophet_activated_at = std::nullopt,
+         .prophet_replans = 0,
+         .training = tm,
+         .transfers = {},
+         .gpu_series = worker.gpu().series(),
+         .gpu_intervals = worker.gpu().intervals(),
+         .tx_series = {},
+         .rx_series = {}});
   }
   return result;
 }

@@ -28,11 +28,12 @@ MultiJobResult run_multi_job(const MultiJobConfig& config) {
   std::vector<std::unique_ptr<ps::JobRuntime>> jobs;
   for (std::size_t j = 0; j < config.jobs.size(); ++j) {
     ps::ClusterConfig cfg = config.jobs[j].config;
-    // The fabric is the driver's: per-job topology/bandwidth fields are
-    // replaced so validate() and bandwidth_of_worker agree with it.
+    // Every job runs on the shared fabric: its own topology is replaced so
+    // validate() and bandwidth_of_worker agree with it.
     cfg.topology = config.topology;
-    cfg.worker_bandwidth_override.clear();
     cfg.validate();
+    // Every job reports the default window; fail now if it is empty.
+    (void)cfg.default_measure_first();
     ps::JobOptions opts;
     opts.name_prefix = (config.jobs[j].name.empty()
                             ? "job" + std::to_string(j)
@@ -45,37 +46,8 @@ MultiJobResult run_multi_job(const MultiJobConfig& config) {
                                                     std::move(cfg),
                                                     std::move(opts)));
   }
-  for (auto& job : jobs) job->start();
-
-  // One event loop for everyone. A job that crosses its final iteration is
-  // finalized on the spot (span recorded, metrics closed, late fault events
-  // disarmed) while its residual flows drain alongside the still-running
-  // jobs.
-  const TimePoint horizon = TimePoint::origin() + config.horizon;
-  std::vector<bool> finished(jobs.size(), false);
-  std::vector<Duration> finish_at(jobs.size(), Duration::zero());
-  std::size_t remaining = jobs.size();
-  auto sweep_finished = [&] {
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      if (finished[j] || !jobs[j]->done()) continue;
-      jobs[j]->recover_crashed();
-      jobs[j]->disarm_faults();
-      jobs[j]->finish_training(sim.now());
-      finished[j] = true;
-      finish_at[j] = sim.now() - TimePoint::origin();
-      --remaining;
-    }
-  };
-  sweep_finished();
-  while (remaining > 0 && sim.now() < horizon) {
-    if (!sim.step()) break;
-    sweep_finished();
-  }
-  PROPHET_CHECK_MSG(remaining == 0,
-                    "run_multi_job: a job did not finish within the horizon");
-  // Drain residual traffic (all monitors are stopped, so this converges).
-  sim.run_until(horizon);
-  for (auto& job : jobs) job->finish_audit();
+  // One event loop for everyone.
+  const std::vector<Duration> finish_at = ps::run_jobs(sim, jobs, config.horizon);
 
   MultiJobResult result;
   result.events_fired = sim.events_fired();

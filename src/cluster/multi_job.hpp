@@ -55,10 +55,11 @@ struct MultiJobResult {
   net::RebalanceStats rebalance;
 };
 
-// Places, interleaves and runs every job to completion. Aborts if the jobs
-// exceed fabric capacity or any job misses the horizon. Per-job ClusterConfig
-// topology/bandwidth fields are overridden by `config.topology`; the fabric's
-// TCP cost model comes from the first job.
+// Places, interleaves and runs every job to completion through ps::run_jobs.
+// Aborts before the first event if the jobs exceed fabric capacity or a job
+// has no iterations to measure past its warmup, and later if any job misses
+// the horizon. Each job's ClusterConfig::topology is overridden by
+// `config.topology`; the fabric's TCP cost model comes from the first job.
 MultiJobResult run_multi_job(const MultiJobConfig& config);
 
 }  // namespace prophet::cluster

@@ -138,7 +138,7 @@ PhaseEstimate estimate_phases(const net::TopologySpec& topology,
   // The PS NIC serializes every worker's push (incast); it bounds the comm
   // phase even with a quiet spine.
   const Bandwidth ps_nic = topology.kind == net::TopologySpec::Kind::kStar
-                               ? config.resolved_topology().ps_bandwidth
+                               ? topology.ps_bandwidth
                                : topology.host_bandwidth;
   Duration comm = Duration::from_seconds(
       workers * static_cast<double>(bytes) / ps_nic.bytes_per_second());

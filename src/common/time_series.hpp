@@ -19,6 +19,8 @@ namespace prophet {
 //                   yield a fraction in [0, 1].
 class BinnedSeries {
  public:
+  // An empty series (no bins): what a run that tracked nothing reports.
+  BinnedSeries() = default;
   BinnedSeries(Duration bin_width, Duration horizon);
 
   void add_amount(TimePoint at, double amount);
@@ -41,7 +43,7 @@ class BinnedSeries {
   [[nodiscard]] double mean_rate() const { return mean_rate(0, bins_.size()); }
 
  private:
-  Duration bin_width_;
+  Duration bin_width_{};
   std::vector<double> bins_;
 };
 

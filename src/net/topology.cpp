@@ -68,6 +68,11 @@ void TopologySpec::validate() const {
                         "leaf-spine topology needs positive host bandwidth");
       PROPHET_CHECK_MSG(oversubscription > 0.0,
                         "leaf-spine oversubscription ratio must be positive");
+      // Leaf-spine hosts have uniform NICs; per-worker override entries
+      // would silently lose against host_bandwidth, so they are rejected.
+      PROPHET_CHECK_MSG(worker_bandwidth_override.empty(),
+                        "TopologySpec: worker_bandwidth_override is ambiguous "
+                        "with a leaf-spine fabric; set host_bandwidth instead");
       break;
   }
 }

@@ -39,7 +39,8 @@ struct TopologySpec {
 
   // --- star parameters (ignored for leaf-spine) ---------------------------
   // Uniform worker NIC rate; `worker_bandwidth_override` entries (indexed by
-  // worker) replace it for heterogeneous clusters (Sec. 5.3).
+  // worker) replace it for heterogeneous clusters (Sec. 5.3). A leaf-spine
+  // spec must leave the override empty.
   Bandwidth worker_bandwidth = Bandwidth::gbps(10);
   Bandwidth ps_bandwidth = Bandwidth::gbps(10);
   std::vector<Bandwidth> worker_bandwidth_override;
@@ -68,7 +69,8 @@ struct TopologySpec {
   [[nodiscard]] const char* kind_name() const;
 
   // Aborts with a clear message on a malformed spec (zero racks/hosts,
-  // non-positive rates or oversubscription, a zero override entry).
+  // non-positive rates or oversubscription, a zero override entry, override
+  // entries on a leaf-spine).
   void validate() const;
 
   // Parses "star" | "leaf-spine[:RACKS[:HOSTS_PER_RACK]]" (CLI spelling);

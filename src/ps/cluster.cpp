@@ -1,6 +1,7 @@
 #include "ps/cluster.hpp"
 
-#include <utility>
+#include <memory>
+#include <vector>
 
 #include "common/check.hpp"
 #include "net/flow_network.hpp"
@@ -24,42 +25,20 @@ double ClusterResult::mean_utilization() const {
   return total / static_cast<double>(workers.size());
 }
 
-Cluster::Cluster(ClusterConfig config) : config_{std::move(config)} {
-  config_.validate();
-}
-
-ClusterResult Cluster::run(std::optional<std::size_t> measure_first) {
-  const ClusterConfig& cfg = config_;
-  sim::Simulator sim;
-  const net::TcpCostModel cost{cfg.tcp};
-  net::FlowNetwork network{sim, cost, cfg.rate_rebalance};
-  network.set_verify_rates(cfg.verify_rates);
-  net::BuiltTopology topology{network, cfg.resolved_topology()};
-
-  JobRuntime job{sim, network, topology, cfg};
-  job.start();
-
-  // Run until every worker crossed its final iteration boundary (residual
-  // pulls may still be in flight), bounded by the metrics horizon.
-  const TimePoint horizon = TimePoint::origin() + cfg.metrics_horizon;
-  while (!job.done() && sim.now() < horizon) {
-    if (!sim.step()) break;
-  }
-  PROPHET_CHECK_MSG(job.done(), "training did not finish within the metrics horizon");
-  job.recover_crashed();
-  job.disarm_faults();
-  job.finish_training(sim.now());
-  // Drain residual network traffic (monitors are stopped, so this converges).
-  sim.run_until(horizon);
-  job.finish_audit();
-
-  return job.collect(measure_first, sim.events_fired());
-}
-
 ClusterResult run_cluster(const ClusterConfig& config,
                           std::optional<std::size_t> measure_first) {
-  Cluster cluster{config};
-  return cluster.run(measure_first);
+  config.validate();
+  if (!measure_first.has_value()) (void)config.default_measure_first();
+  sim::Simulator sim;
+  const net::TcpCostModel cost{config.tcp};
+  net::FlowNetwork network{sim, cost, config.rate_rebalance};
+  network.set_verify_rates(config.verify_rates);
+  net::BuiltTopology topology{network, *config.topology};
+
+  std::vector<std::unique_ptr<JobRuntime>> jobs;
+  jobs.push_back(std::make_unique<JobRuntime>(sim, network, topology, config));
+  run_jobs(sim, jobs, config.metrics_horizon);
+  return jobs.front()->collect(measure_first, sim.events_fired());
 }
 
 }  // namespace prophet::ps

@@ -1,6 +1,8 @@
-// Cluster driver: wires N workers, one PS, the flow network and the chosen
-// communication strategy into a Simulator, runs the training job, and
-// collects every measurement the paper's evaluation reports.
+// Single-job entry point (run_cluster) and the result schema every run
+// reports, PS, multi-job and all-reduce alike: wires N workers, the PS, the
+// flow network and the chosen communication strategy into a Simulator, runs
+// the training job, and collects every measurement the paper's evaluation
+// reports.
 #pragma once
 
 #include <optional>
@@ -26,7 +28,9 @@ struct WorkerResult {
   std::optional<std::size_t> prophet_activated_at;
   // Drift-triggered bandwidth re-plans (Prophet only; zero otherwise).
   std::size_t prophet_replans = 0;
-  // Full series/logs for timeline benches.
+  // Full series/logs for timeline benches. All-reduce runs leave
+  // `transfers`, `tx_series` and `rx_series` empty (the ring attaches no
+  // trackers).
   metrics::TrainingMetrics training;
   metrics::TransferLog transfers;
   BinnedSeries gpu_series;
@@ -56,23 +60,12 @@ struct ClusterResult {
   [[nodiscard]] double mean_utilization() const;
 };
 
-class Cluster {
- public:
-  explicit Cluster(ClusterConfig config);
-
-  // Runs the configured number of iterations and gathers results. The rate
-  // window defaults to [warmup, iterations), where warmup skips Prophet's
-  // profiling phase (plus slack) so strategies are compared at steady state;
-  // pass `measure_first` to override.
-  [[nodiscard]] ClusterResult run(std::optional<std::size_t> measure_first = {});
-
-  [[nodiscard]] const ClusterConfig& config() const { return config_; }
-
- private:
-  ClusterConfig config_;
-};
-
-// One-call convenience used by benches and tests.
+// Validates `config`, runs the configured number of iterations on a fabric
+// of its own and gathers results. The rate window defaults to
+// [config.default_measure_first(), iterations), which skips Prophet's
+// profiling phase (plus slack) so strategies are compared at steady state;
+// a default window with nothing to measure aborts before the first event.
+// Pass `measure_first` to override.
 ClusterResult run_cluster(const ClusterConfig& config,
                           std::optional<std::size_t> measure_first = {});
 

@@ -17,23 +17,18 @@ void ClusterConfig::validate() const {
                     "tensors — shards beyond tensor_count() would own no "
                     "keys; lower --ps-shards");
   PROPHET_CHECK_MSG(jitter_sigma >= 0.0, "ClusterConfig: jitter_sigma must be >= 0");
-  const net::TopologySpec topo = resolved_topology();
+  PROPHET_CHECK_MSG(topology.has_value(),
+                    "ClusterConfig::topology: empty — set a fabric (the "
+                    "default TopologySpec{} is the 10/10 Gbps star)");
+  const net::TopologySpec& topo = *topology;
   topo.validate();
-  if (topo.kind == net::TopologySpec::Kind::kStar) {
-    PROPHET_CHECK_MSG(topo.worker_bandwidth_override.size() <= num_workers,
-                      "ClusterConfig: worker_bandwidth_override longer than num_workers");
-  } else {
-    // An explicit non-star fabric has uniform host NICs; per-worker override
-    // entries would silently lose against it, so the ambiguity is rejected.
-    PROPHET_CHECK_MSG(worker_bandwidth_override.empty(),
-                      "ClusterConfig: worker_bandwidth_override is ambiguous "
-                      "with a non-star TopologySpec; set host_bandwidth on the "
-                      "topology instead");
-    // The fabric must seat every worker plus one host per PS shard.
-    PROPHET_CHECK_MSG(topo.host_capacity() >= num_workers + ps_shards,
-                      "ClusterConfig: topology rack capacity cannot hold "
-                      "num_workers + ps_shards PS hosts");
-  }
+  PROPHET_CHECK_MSG(topo.worker_bandwidth_override.size() <= num_workers,
+                    "ClusterConfig: worker_bandwidth_override longer than num_workers");
+  // The fabric must seat every worker plus one host per PS shard (a star
+  // seats any number).
+  PROPHET_CHECK_MSG(topo.host_capacity() >= num_workers + ps_shards,
+                    "ClusterConfig: topology rack capacity cannot hold "
+                    "num_workers + ps_shards PS hosts");
   PROPHET_CHECK_MSG(update_bytes_per_sec > 0.0,
                     "ClusterConfig: update_bytes_per_sec must be > 0");
   PROPHET_CHECK_MSG(update_fixed >= Duration::zero(),
@@ -69,6 +64,21 @@ void ClusterConfig::validate() const {
                         checkpoint_period > Duration::zero(),
                     "ClusterConfig: ps_crash failover needs a positive "
                     "checkpoint_period to restore from");
+}
+
+std::size_t ClusterConfig::default_measure_first() const {
+  std::size_t warmup = 3;
+  if (strategy.kind == StrategyConfig::Kind::kProphet) {
+    warmup = strategy.prophet_config.profile_iterations + 3;
+  }
+  PROPHET_CHECK_MSG(warmup + 1 < iterations,
+                    "ClusterConfig::iterations: not enough iterations to "
+                    "measure past warmup — the default window starts after "
+                    "strategy.prophet_config.profile_iterations + 3 "
+                    "iterations (3 for other strategies) and needs two more; "
+                    "raise iterations or lower "
+                    "strategy.prophet_config.profile_iterations");
+  return warmup;
 }
 
 }  // namespace prophet::ps

@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "common/time.hpp"
 #include "common/units.hpp"
@@ -65,20 +64,10 @@ struct ClusterConfig {
   // bit-identical to the historical single-PS cluster.
   std::size_t ps_shards = 1;
 
-  // Network fabric the cluster runs on. When unset, the three legacy
-  // bandwidth fields below are folded into a TopologySpec::star — today's
-  // semantics, bit for bit. Set it explicitly for leaf-spine fabrics (and
-  // for new star configs: the flat fields are the deprecated spelling, kept
-  // as shims the same way StrategyConfig keeps its make_* factories).
-  std::optional<net::TopologySpec> topology;
-
-  // DEPRECATED: use `topology` (TopologySpec::star(...)). Consulted only
-  // when `topology` is unset. Uniform worker NIC rate; entries in
-  // `worker_bandwidth_override` (indexed by worker) replace it for
-  // heterogeneous clusters (Sec. 5.3).
-  Bandwidth worker_bandwidth = Bandwidth::gbps(10);
-  std::vector<Bandwidth> worker_bandwidth_override;
-  Bandwidth ps_bandwidth = Bandwidth::gbps(10);
+  // Network fabric the cluster runs on: TopologySpec::star(worker_bw, ps_bw
+  // [, per-worker overrides]) or TopologySpec::leaf_spine(...). Defaults to
+  // the 10/10 Gbps star. Always engaged — validate() rejects an empty value.
+  std::optional<net::TopologySpec> topology = net::TopologySpec{};
 
   // Rate-rebalance engine for the shared FlowNetwork: kIncremental (default)
   // rebalances only the contention component a change touches; kFull re-runs
@@ -102,16 +91,10 @@ struct ClusterConfig {
   Duration metrics_bin = Duration::millis(250);
   Duration metrics_horizon = Duration::seconds(900);
 
-  // The fabric actually in effect: `topology` when set, else a star built
-  // from the deprecated flat fields.
-  [[nodiscard]] net::TopologySpec resolved_topology() const {
-    if (topology.has_value()) return *topology;
-    return net::TopologySpec::star(worker_bandwidth, ps_bandwidth,
-                                   worker_bandwidth_override);
-  }
-
+  // Worker w's NIC rate: its star override entry, else the star's uniform
+  // worker rate; a leaf-spine host's rate.
   [[nodiscard]] Bandwidth bandwidth_of_worker(std::size_t w) const {
-    const net::TopologySpec t = resolved_topology();
+    const net::TopologySpec& t = *topology;
     if (t.kind == net::TopologySpec::Kind::kLeafSpine) return t.host_bandwidth;
     if (w < t.worker_bandwidth_override.size() &&
         !t.worker_bandwidth_override[w].is_zero()) {
@@ -120,11 +103,20 @@ struct ClusterConfig {
     return t.worker_bandwidth;
   }
 
-  // Single validation entry point, called by Cluster's constructor: aborts
-  // with a clear message on a misconfiguration (zero workers, too few
-  // iterations, non-positive bandwidths or update rate, an override vector
-  // longer than the cluster, a malformed dynamics plan, ...) instead of
-  // silently simulating nonsense.
+  // First iteration of the default measurement window [warmup, iterations):
+  // past Prophet's profiling phase plus three iterations of slack (three for
+  // every other strategy), so strategies compare at steady state. Aborts,
+  // naming the fields, when fewer than two iterations would remain.
+  // run_cluster, run_multi_job and ar::run_allreduce call it before the
+  // first event unless given an explicit window.
+  [[nodiscard]] std::size_t default_measure_first() const;
+
+  // Single validation entry point, called by run_cluster, run_multi_job (per
+  // job) and ar::run_allreduce before they build anything: aborts with a
+  // clear message on a misconfiguration (zero workers, too few iterations,
+  // non-positive bandwidths or update rate, an override vector longer than
+  // the cluster, a malformed dynamics plan, ...) instead of silently
+  // simulating nonsense.
   void validate() const;
 };
 

@@ -94,9 +94,9 @@ JobRuntime::JobRuntime(sim::Simulator& sim, net::FlowNetwork& network,
 }
 
 Bandwidth JobRuntime::node_base_bandwidth(bool is_ps, std::size_t w) const {
-  const net::TopologySpec spec = config_.resolved_topology();
-  if (spec.kind == net::TopologySpec::Kind::kLeafSpine) return spec.host_bandwidth;
-  return is_ps ? spec.ps_bandwidth : config_.bandwidth_of_worker(w);
+  const net::TopologySpec& spec = *config_.topology;
+  if (is_ps && spec.kind == net::TopologySpec::Kind::kStar) return spec.ps_bandwidth;
+  return config_.bandwidth_of_worker(w);
 }
 
 void JobRuntime::start() {
@@ -280,18 +280,8 @@ void JobRuntime::finish_audit() {
 ClusterResult JobRuntime::collect(std::optional<std::size_t> measure_first,
                                   std::uint64_t events_fired) const {
   const ClusterConfig& cfg = config_;
-  // Default window: past Prophet's profiling phase so strategies compare at
-  // steady state; the same window is applied to every strategy.
-  std::size_t first = measure_first.value_or(0);
-  if (!measure_first.has_value()) {
-    std::size_t warmup = 3;
-    if (cfg.strategy.kind == StrategyConfig::Kind::kProphet) {
-      warmup = cfg.strategy.prophet_config.profile_iterations + 3;
-    }
-    PROPHET_CHECK_MSG(warmup + 1 < cfg.iterations,
-                      "not enough iterations to measure past warmup");
-    first = warmup;
-  }
+  const std::size_t first =
+      measure_first.has_value() ? *measure_first : cfg.default_measure_first();
   const std::size_t last = cfg.iterations;
 
   ClusterResult result;
@@ -322,6 +312,43 @@ ClusterResult JobRuntime::collect(std::optional<std::size_t> measure_first,
     result.workers.push_back(std::move(wr));
   }
   return result;
+}
+
+std::vector<Duration> run_jobs(sim::Simulator& sim,
+                               const std::vector<std::unique_ptr<JobRuntime>>& jobs,
+                               Duration horizon) {
+  for (const auto& job : jobs) job->start();
+
+  // A job that crosses its final iteration is finalized on the spot (span
+  // recorded, metrics closed, late fault events disarmed) while its residual
+  // flows drain alongside the still-running jobs.
+  const TimePoint end = TimePoint::origin() + horizon;
+  std::vector<bool> finished(jobs.size(), false);
+  std::vector<Duration> finish_at(jobs.size(), Duration::zero());
+  std::size_t remaining = jobs.size();
+  auto sweep_finished = [&] {
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      if (finished[j] || !jobs[j]->done()) continue;
+      jobs[j]->recover_crashed();
+      jobs[j]->disarm_faults();
+      jobs[j]->finish_training(sim.now());
+      finished[j] = true;
+      finish_at[j] = sim.now() - TimePoint::origin();
+      --remaining;
+    }
+  };
+  sweep_finished();
+  while (remaining > 0 && sim.now() < end) {
+    if (!sim.step()) break;
+    sweep_finished();
+  }
+  PROPHET_CHECK_MSG(remaining == 0,
+                    "a job did not finish training within the horizon "
+                    "(ClusterConfig::metrics_horizon, MultiJobConfig::horizon)");
+  // Drain residual traffic (all monitors are stopped, so this converges).
+  sim.run_until(end);
+  for (const auto& job : jobs) job->finish_audit();
+  return finish_at;
 }
 
 }  // namespace prophet::ps

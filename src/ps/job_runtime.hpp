@@ -1,9 +1,8 @@
 // One training job wired into a (possibly shared) simulator and network:
-// the PS, its workers, the BSP auditor and the armed dynamics plan — i.e.
-// everything Cluster::run used to build inline, extracted so several jobs
-// can coexist in one event loop on one fabric.
+// the PS, its workers, the BSP auditor and the armed dynamics plan, so
+// several jobs can coexist in one event loop on one fabric.
 //
-// Lifecycle (the cluster driver owns the event loop):
+// Lifecycle (run_jobs below owns the event loop):
 //   construct      — places hosts on the topology, builds server/workers;
 //   start()        — kicks off iteration 0 (immediately, or at the
 //                    scheduler-chosen start offset) and arms dynamics;
@@ -11,10 +10,9 @@
 //   when done(): recover_crashed(); disarm_faults(); finish_training(now);
 //   ... drain ...  finish_audit(); collect(...).
 //
-// A single job with default JobOptions on a star topology reproduces the
-// original Cluster::run event sequence bit for bit: zero-offset start() calls
-// Worker::start directly (no extra scheduled event) and dynamics arming
-// happens in the same order at the same instants.
+// A zero-offset start() calls Worker::start directly (no extra scheduled
+// event), so a single job with default JobOptions fires exactly the events
+// of a plain step-until-done loop.
 #pragma once
 
 #include <map>
@@ -95,8 +93,8 @@ class JobRuntime {
     return worker_nodes_;
   }
 
-  // Gathers per-worker results over [measure_first, iterations) — the same
-  // warmup default Cluster::run always used. `events_fired` is the
+  // Gathers per-worker results over [measure_first, iterations), by default
+  // from ClusterConfig::default_measure_first(). `events_fired` is the
   // simulator-wide count (jobs sharing a loop share it).
   [[nodiscard]] ClusterResult collect(std::optional<std::size_t> measure_first,
                                       std::uint64_t events_fired) const;
@@ -124,5 +122,15 @@ class JobRuntime {
   bool faults_live_ = true;
   Duration training_span_{};
 };
+
+// The one event loop behind run_cluster and cluster::run_multi_job: starts
+// each job, steps `sim` until all of them crossed their final
+// iteration, bounded by `horizon` from the origin, and finalizes each job
+// the moment it is done while the others keep running. Then drains residual
+// traffic up to the horizon and runs every job's final audit. Returns each
+// job's finish time from the origin; aborts if a job misses the horizon.
+std::vector<Duration> run_jobs(sim::Simulator& sim,
+                               const std::vector<std::unique_ptr<JobRuntime>>& jobs,
+                               Duration horizon);
 
 }  // namespace prophet::ps

@@ -59,21 +59,6 @@ struct StrategyConfig {
   static std::optional<StrategyConfig> from_name(std::string_view name);
   // Paper-style display label for a canonical name ("prophet" -> "Prophet").
   static std::string display_label(std::string_view name);
-
-  // --- deprecated aliases (pre-unification spellings) ----------------------
-  [[deprecated("use StrategyConfig::mg_wfbp()")]]
-  static StrategyConfig make_mg_wfbp(Bytes merge_bytes = Bytes::mib(8)) {
-    return mg_wfbp(merge_bytes);
-  }
-  [[deprecated("use StrategyConfig::bytescheduler()")]]
-  static StrategyConfig make_bytescheduler(Bytes credit = Bytes::mib(4),
-                                           bool autotune = false) {
-    return bytescheduler(credit, autotune);
-  }
-  [[deprecated("use StrategyConfig::prophet()")]]
-  static StrategyConfig make_prophet(core::ProphetConfig config = {}) {
-    return prophet(config);
-  }
 };
 
 // Instantiates the scheduler for one worker direction. `bandwidth_fn` feeds

@@ -3,6 +3,7 @@
 #include "allreduce/cluster.hpp"
 #include "allreduce/coordinator.hpp"
 #include "allreduce/ring.hpp"
+#include "net/topology.hpp"
 #include "ps/strategy.hpp"
 
 namespace prophet::ar {
@@ -136,7 +137,7 @@ ps::ClusterConfig ar_config(ps::StrategyConfig strategy, double gbps = 2.0) {
   cfg.num_workers = 3;
   cfg.batch = 32;
   cfg.iterations = 14;
-  cfg.worker_bandwidth = Bandwidth::gbps(gbps);
+  cfg.topology = net::TopologySpec::star(Bandwidth::gbps(gbps), Bandwidth::gbps(10));
   cfg.strategy = std::move(strategy);
   cfg.strategy.prophet_config.profile_iterations = 4;
   return cfg;
@@ -180,6 +181,58 @@ TEST(AllReduceCluster, BspLockstepAcrossWorkers) {
   for (const auto& w : result.workers) {
     EXPECT_NEAR(w.rate_samples_per_sec, result.workers[0].rate_samples_per_sec,
                 0.02 * result.workers[0].rate_samples_per_sec);
+  }
+}
+
+// The ring honours the fabric: six members fill rack 0 (workers 0-3) and
+// half of rack 1, so the 3->4 and 5->0 hops cross 5 Gbps uplinks (2x4 hosts
+// of 10 Gbps at 8:1) instead of 10 Gbps NICs. ResNet50, so the collectives
+// are large enough for the spine to show.
+TEST(AllReduceCluster, OversubscribedSpineSlowsTheRing) {
+  auto star = ar_config(ps::StrategyConfig::prophet(), 10.0);
+  star.model = dnn::resnet50();
+  star.num_workers = 6;
+  star.iterations = 8;
+  star.strategy.prophet_config.profile_iterations = 2;
+  auto spine = star;
+  spine.topology = net::TopologySpec::leaf_spine(2, 4, Bandwidth::gbps(10), 8.0);
+  const auto on_star = run_allreduce(star);
+  const auto on_spine = run_allreduce(spine);
+  EXPECT_GT(on_spine.simulated_time.count_nanos(), on_star.simulated_time.count_nanos());
+  EXPECT_LT(on_spine.mean_rate(), on_star.mean_rate());
+}
+
+TEST(AllReduceClusterDeathTest, RejectsWhatTheRingDoesNotModel) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  {
+    auto cfg = ar_config(ps::StrategyConfig::fifo());
+    cfg.batch = 0;  // ClusterConfig::validate() runs first
+    EXPECT_DEATH((void)run_allreduce(cfg), "batch");
+  }
+  {
+    auto cfg = ar_config(ps::StrategyConfig::fifo());
+    cfg.num_workers = 1;
+    EXPECT_DEATH((void)run_allreduce(cfg), "ClusterConfig::num_workers");
+  }
+  {
+    auto cfg = ar_config(ps::StrategyConfig::fifo());
+    cfg.dynamics.outage(1_s, 1_s, 0);
+    EXPECT_DEATH((void)run_allreduce(cfg), "ClusterConfig::dynamics");
+  }
+  {
+    auto cfg = ar_config(ps::StrategyConfig::fifo());
+    cfg.ps_shards = 2;
+    EXPECT_DEATH((void)run_allreduce(cfg), "ClusterConfig::ps_shards");
+  }
+  {
+    auto cfg = ar_config(ps::StrategyConfig::fifo());
+    cfg.sync = ps::SyncMode::kAsp;
+    EXPECT_DEATH((void)run_allreduce(cfg), "ClusterConfig::sync");
+  }
+  {
+    auto cfg = ar_config(ps::StrategyConfig::fifo());
+    cfg.reliability.loss_rate = 0.1;
+    EXPECT_DEATH((void)run_allreduce(cfg), "ClusterConfig::reliability.loss_rate");
   }
 }
 

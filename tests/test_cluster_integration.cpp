@@ -16,8 +16,7 @@ ClusterConfig small_config(StrategyConfig strategy) {
   cfg.num_workers = 2;
   cfg.batch = 32;
   cfg.iterations = 12;
-  cfg.worker_bandwidth = Bandwidth::gbps(1);
-  cfg.ps_bandwidth = Bandwidth::gbps(1);
+  cfg.topology = net::TopologySpec::star(Bandwidth::gbps(1), Bandwidth::gbps(1));
   cfg.strategy = strategy;
   cfg.strategy.prophet_config.profile_iterations = 4;
   return cfg;
@@ -135,11 +134,9 @@ TEST(ClusterIntegration, HigherBandwidthNeverHurts) {
                         ? StrategyConfig::fifo()
                         : StrategyConfig::prophet();
     auto slow = small_config(strategy);
-    slow.worker_bandwidth = Bandwidth::mbps(200);
-    slow.ps_bandwidth = Bandwidth::mbps(200);
+    slow.topology = net::TopologySpec::star(Bandwidth::mbps(200), Bandwidth::mbps(200));
     auto fast = small_config(strategy);
-    fast.worker_bandwidth = Bandwidth::gbps(10);
-    fast.ps_bandwidth = Bandwidth::gbps(10);
+    fast.topology = net::TopologySpec::star(Bandwidth::gbps(10), Bandwidth::gbps(10));
     EXPECT_GT(run_cluster(fast, 6).mean_rate() * 1.02,
               run_cluster(slow, 6).mean_rate());
   }
@@ -149,7 +146,7 @@ TEST(ClusterIntegration, HeterogeneousWorkerSlowsEveryone) {
   // BSP: the 100 Mbps straggler gates the whole cluster (Sec. 5.3).
   auto uniform = small_config(StrategyConfig::prophet());
   auto hetero = uniform;
-  hetero.worker_bandwidth_override = {Bandwidth::mbps(100)};
+  hetero.topology->worker_bandwidth_override = {Bandwidth::mbps(100)};
   const auto fast = run_cluster(uniform, 6);
   const auto slow = run_cluster(hetero, 6);
   EXPECT_LT(slow.mean_rate(), fast.mean_rate());
@@ -162,7 +159,7 @@ TEST(ClusterIntegration, HeterogeneousWorkerSlowsEveryone) {
 TEST(ClusterIntegration, AspModeRunsAndDecouplesWorkers) {
   auto cfg = small_config(StrategyConfig::prophet());
   cfg.sync = SyncMode::kAsp;
-  cfg.worker_bandwidth_override = {Bandwidth::mbps(100)};
+  cfg.topology->worker_bandwidth_override = {Bandwidth::mbps(100)};
   const auto result = run_cluster(cfg, 6);
   for (const auto& w : result.workers) {
     EXPECT_EQ(w.iterations_completed, 12u);

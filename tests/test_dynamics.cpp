@@ -7,6 +7,8 @@
 #include <fstream>
 #include <string>
 
+#include "allreduce/cluster.hpp"
+#include "cluster/multi_job.hpp"
 #include "net/dynamics.hpp"
 #include "net/flow_network.hpp"
 #include "net/monitor.hpp"
@@ -291,18 +293,45 @@ TEST(ClusterConfigDeathTest, ValidateRejectsBadConfigs) {
   {
     ps::ClusterConfig cfg;
     cfg.num_workers = 0;
-    EXPECT_DEATH(ps::Cluster{cfg}, "num_workers");
+    EXPECT_DEATH(cfg.validate(), "num_workers");
   }
   {
     ps::ClusterConfig cfg;
-    cfg.worker_bandwidth = Bandwidth::zero();
-    EXPECT_DEATH(ps::Cluster{cfg}, "worker_bandwidth");
+    cfg.topology.reset();
+    EXPECT_DEATH(cfg.validate(), "ClusterConfig::topology");
   }
   {
     ps::ClusterConfig cfg;
-    cfg.worker_bandwidth_override.assign(cfg.num_workers + 1, Bandwidth::gbps(1));
-    EXPECT_DEATH(ps::Cluster{cfg}, "override");
+    cfg.topology->worker_bandwidth = Bandwidth::zero();
+    EXPECT_DEATH(cfg.validate(), "worker_bandwidth");
   }
+  {
+    ps::ClusterConfig cfg;
+    cfg.topology->worker_bandwidth_override.assign(cfg.num_workers + 1,
+                                                   Bandwidth::gbps(1));
+    EXPECT_DEATH(cfg.validate(), "override");
+  }
+}
+
+// A Prophet run whose default window starts past its last iteration fails
+// before the first event with a message naming both fields — not after
+// simulating (here the horizon is also too short, which a run that got as
+// far as the event loop would report instead).
+TEST(ClusterConfigDeathTest, EmptyMeasureWindowFailsBeforeSimulating) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ps::ClusterConfig cfg;
+  cfg.iterations = 10;
+  cfg.strategy = ps::StrategyConfig::prophet();
+  cfg.strategy.prophet_config.profile_iterations = 10;
+  cfg.metrics_horizon = 1_s;
+  const char* want = "iterations.*strategy\\.prophet_config\\.profile_iterations";
+  EXPECT_DEATH((void)ps::run_cluster(cfg), want);
+  EXPECT_DEATH((void)ar::run_allreduce(cfg), want);
+  cluster::MultiJobConfig mcfg;
+  mcfg.topology = net::TopologySpec::star(Bandwidth::gbps(10), Bandwidth::gbps(10));
+  mcfg.jobs.push_back({cfg, "job0"});
+  mcfg.horizon = 1_s;
+  EXPECT_DEATH((void)cluster::run_multi_job(mcfg), want);
 }
 
 // --- strategy registry ----------------------------------------------------
@@ -341,8 +370,7 @@ ps::ClusterConfig small_config(ps::StrategyConfig strategy) {
   cfg.num_workers = 2;
   cfg.batch = 32;
   cfg.iterations = 12;
-  cfg.worker_bandwidth = Bandwidth::gbps(1);
-  cfg.ps_bandwidth = Bandwidth::gbps(1);
+  cfg.topology = net::TopologySpec::star(Bandwidth::gbps(1), Bandwidth::gbps(1));
   cfg.strategy = strategy;
   cfg.strategy.prophet_config.profile_iterations = 4;
   return cfg;

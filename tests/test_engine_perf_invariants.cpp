@@ -26,6 +26,8 @@
 
 #include <gtest/gtest.h>
 
+#include "allreduce/cluster.hpp"
+#include "cluster/multi_job.hpp"
 #include "common/rng.hpp"
 #include "core/block_planner.hpp"
 #include "core/local_search.hpp"
@@ -34,6 +36,7 @@
 #include "dnn/model_zoo.hpp"
 #include "dnn/stepwise.hpp"
 #include "net/flow_network.hpp"
+#include "net/topology.hpp"
 #include "ps/cluster.hpp"
 #include "sim/simulator.hpp"
 
@@ -304,7 +307,7 @@ ps::ClusterResult run_golden_cluster(const ps::StrategyConfig& strategy,
   cfg.num_workers = 3;
   cfg.batch = 64;
   cfg.iterations = 10;
-  cfg.worker_bandwidth = Bandwidth::gbps(3);
+  cfg.topology = net::TopologySpec::star(Bandwidth::gbps(3), Bandwidth::gbps(10));
   cfg.strategy = strategy;
   cfg.strategy.prophet_config.profile_iterations = 4;
   cfg.rate_rebalance = mode;
@@ -341,6 +344,90 @@ TEST(GoldenCluster, ProphetTrace) {
 TEST(GoldenCluster, ProphetTraceFullRebalance) {
   expect_prophet_golden(run_golden_cluster(ps::StrategyConfig::prophet(),
                                            net::RebalanceMode::kFull));
+}
+
+// --- Ring all-reduce and multi-job goldens ----------------------------------
+// Captured with tools/golden_capture.cpp from the ring's own star fabric and
+// run_multi_job's own event loop; the ring on BuiltTopology and
+// ps::run_jobs reproduce them bit for bit.
+
+ps::ClusterResult run_golden_ring(const ps::StrategyConfig& strategy,
+                                  net::RebalanceMode mode) {
+  ps::ClusterConfig cfg;
+  cfg.model = dnn::toy_cnn();
+  cfg.num_workers = 4;
+  cfg.batch = 32;
+  cfg.iterations = 10;
+  cfg.topology = net::TopologySpec::star(Bandwidth::gbps(2), Bandwidth::gbps(2));
+  cfg.strategy = strategy;
+  cfg.strategy.prophet_config.profile_iterations = 4;
+  cfg.rate_rebalance = mode;
+  return ar::run_allreduce(cfg, 5);
+}
+
+void expect_ring_golden(const ps::ClusterResult& result, std::int64_t sim_ns,
+                        std::int64_t rate_centi) {
+  EXPECT_EQ(result.simulated_time.count_nanos(), sim_ns);
+  EXPECT_EQ(static_cast<std::int64_t>(result.mean_rate() * 100.0), rate_centi);
+}
+
+TEST(GoldenAllReduce, FifoRing) {
+  expect_ring_golden(
+      run_golden_ring(ps::StrategyConfig::fifo(), net::RebalanceMode::kIncremental),
+      1226575309, 23712);
+}
+
+TEST(GoldenAllReduce, FifoRingFullRebalance) {
+  expect_ring_golden(
+      run_golden_ring(ps::StrategyConfig::fifo(), net::RebalanceMode::kFull),
+      1226575309, 23712);
+}
+
+TEST(GoldenAllReduce, ProphetRing) {
+  expect_ring_golden(
+      run_golden_ring(ps::StrategyConfig::prophet(), net::RebalanceMode::kIncremental),
+      262112264, 115169);
+}
+
+TEST(GoldenAllReduce, ProphetRingFullRebalance) {
+  expect_ring_golden(
+      run_golden_ring(ps::StrategyConfig::prophet(), net::RebalanceMode::kFull),
+      262112264, 115169);
+}
+
+// Two toy_cnn jobs (FIFO, Prophet) striped over a 2x4 leaf-spine with
+// CASSINI offsets: the spine, the interleave and the shared loop all matter.
+void expect_multi_job_golden(net::RebalanceMode mode) {
+  cluster::MultiJobConfig mcfg;
+  mcfg.topology = net::TopologySpec::leaf_spine(2, 4, Bandwidth::gbps(1), 4.0);
+  mcfg.placement = cluster::PlacementPolicy::kFifoStripe;
+  mcfg.interleave = cluster::InterleavePolicy::kCassini;
+  mcfg.rate_rebalance = mode;
+  for (const auto& strategy : {ps::StrategyConfig::fifo(), ps::StrategyConfig::prophet()}) {
+    cluster::JobSpec job;
+    job.config.model = dnn::toy_cnn();
+    job.config.num_workers = 3;
+    job.config.batch = 32;
+    job.config.iterations = 10;
+    job.config.seed = 42 + mcfg.jobs.size();
+    job.config.strategy = strategy;
+    job.config.strategy.prophet_config.profile_iterations = 4;
+    mcfg.jobs.push_back(std::move(job));
+  }
+  const auto result = cluster::run_multi_job(mcfg);
+  EXPECT_EQ(result.makespan.count_nanos(), 501695394);
+  EXPECT_EQ(result.events_fired, 4485u);
+  ASSERT_EQ(result.jobs.size(), 2u);
+  EXPECT_EQ(static_cast<std::int64_t>(result.jobs[0].result.mean_rate() * 100.0), 58786);
+  EXPECT_EQ(static_cast<std::int64_t>(result.jobs[1].result.mean_rate() * 100.0), 153514);
+}
+
+TEST(GoldenMultiJob, StripedLeafSpineTrace) {
+  expect_multi_job_golden(net::RebalanceMode::kIncremental);
+}
+
+TEST(GoldenMultiJob, StripedLeafSpineTraceFullRebalance) {
+  expect_multi_job_golden(net::RebalanceMode::kFull);
 }
 
 // --- Event-pool mechanics ---------------------------------------------------

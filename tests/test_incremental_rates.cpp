@@ -283,8 +283,7 @@ TEST(IncrementalRates, ClusterFaultPlanVerified) {
   cfg.batch = 32;
   cfg.iterations = 10;
   cfg.seed = 3;
-  cfg.worker_bandwidth = Bandwidth::gbps(1);
-  cfg.ps_bandwidth = Bandwidth::gbps(1);
+  cfg.topology = TopologySpec::star(Bandwidth::gbps(1), Bandwidth::gbps(1));
   cfg.strategy = ps::StrategyConfig::fifo();
   cfg.reliability.retry_budget = 64;
   cfg.checkpoint_period = 40_ms;
@@ -404,8 +403,7 @@ TEST(RateGroups, ClusterCrashPlanAbortsGroupedFlowsVerified) {
   cfg.batch = 32;
   cfg.iterations = 6;
   cfg.seed = 13;
-  cfg.worker_bandwidth = Bandwidth::gbps(1);
-  cfg.ps_bandwidth = Bandwidth::gbps(1);
+  cfg.topology = TopologySpec::star(Bandwidth::gbps(1), Bandwidth::gbps(1));
   cfg.strategy = ps::StrategyConfig::fifo();
   cfg.reliability.retry_budget = 64;
   for (std::size_t w = 0; w < 4; ++w) {

@@ -12,6 +12,11 @@ struct ZooCase {
   double tolerance;  // relative
 };
 
+// Without this gtest prints the raw bytes of `name`, a pointer, into each
+// case's listed name, so the registered ctest names would change with every
+// load address.
+void PrintTo(const ZooCase& c, std::ostream* os) { *os << '"' << c.name << '"'; }
+
 class ModelZooParams : public ::testing::TestWithParam<ZooCase> {};
 
 TEST_P(ModelZooParams, ParameterCountMatchesPublished) {

@@ -15,8 +15,7 @@ ClusterConfig base_config(StrategyConfig strategy, double gbps,
   cfg.batch = 64;
   cfg.iterations = 26;
   cfg.seed = seed;
-  cfg.worker_bandwidth = Bandwidth::gbps(gbps);
-  cfg.ps_bandwidth = Bandwidth::gbps(10);
+  cfg.topology = net::TopologySpec::star(Bandwidth::gbps(gbps), Bandwidth::gbps(10));
   cfg.strategy = strategy;
   cfg.strategy.prophet_config.profile_iterations = 6;
   return cfg;
@@ -126,7 +125,7 @@ TEST(PaperClaims, ScalingWorkersKeepsPerWorkerRateRoughlyFlat) {
   for (std::size_t workers : {2u, 4u, 8u}) {
     auto cfg = base_config(StrategyConfig::prophet(), 10.0);
     cfg.num_workers = workers;
-    cfg.ps_bandwidth = Bandwidth::gbps(10.0 * static_cast<double>(workers) / 2.0);
+    cfg.topology->ps_bandwidth = Bandwidth::gbps(10.0 * static_cast<double>(workers) / 2.0);
     rates.push_back(run_cluster(cfg, 8).mean_rate());
   }
   EXPECT_GT(rates[2], 0.9 * rates[0]);

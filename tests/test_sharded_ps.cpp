@@ -34,8 +34,7 @@ ps::ClusterConfig small_config(ps::StrategyConfig strategy) {
   cfg.num_workers = 2;
   cfg.batch = 32;
   cfg.iterations = 12;
-  cfg.worker_bandwidth = Bandwidth::gbps(1);
-  cfg.ps_bandwidth = Bandwidth::gbps(1);
+  cfg.topology = net::TopologySpec::star(Bandwidth::gbps(1), Bandwidth::gbps(1));
   cfg.strategy = strategy;
   cfg.strategy.prophet_config.profile_iterations = 4;
   return cfg;
@@ -205,20 +204,20 @@ TEST(ShardedPsDeathTest, ConfigRejectsBadShardPlans) {
     // Zero shards would leave every key unowned.
     auto cfg = small_config(ps::StrategyConfig::fifo());
     cfg.ps_shards = 0;
-    EXPECT_DEATH(ps::Cluster{cfg}, "ps_shards");
+    EXPECT_DEATH(cfg.validate(), "ps_shards");
   }
   {
     // More shards than tensors: trailing shards would own no keys.
     auto cfg = small_config(ps::StrategyConfig::fifo());
     cfg.ps_shards = 64;  // toy_cnn has 14 tensors
-    EXPECT_DEATH(ps::Cluster{cfg}, "tensor");
+    EXPECT_DEATH(cfg.validate(), "tensor");
   }
   {
     // Leaf-spine must still seat every worker plus one host per shard.
     auto cfg = small_config(ps::StrategyConfig::fifo());
     cfg.topology = net::TopologySpec::leaf_spine(2, 2, Bandwidth::gbps(10), 4.0);
     cfg.ps_shards = 4;  // 2 workers + 4 PS hosts > 4 seats
-    EXPECT_DEATH(ps::Cluster{cfg}, "cannot hold");
+    EXPECT_DEATH(cfg.validate(), "cannot hold");
   }
   {
     // A shard fault must name a shard that exists.
@@ -226,7 +225,7 @@ TEST(ShardedPsDeathTest, ConfigRejectsBadShardPlans) {
     cfg.ps_shards = 2;
     cfg.checkpoint_period = 50_ms;
     cfg.dynamics.ps_shard_crash(1_s, 100_ms, 5);
-    EXPECT_DEATH(ps::Cluster{cfg}, "shard index");
+    EXPECT_DEATH(cfg.validate(), "shard index");
   }
   {
     // A shard crash while the whole tier is already down has no well-defined
@@ -247,7 +246,7 @@ TEST(ShardedPsDeathTest, ValidateDiagnosticsNameTheOffendingField) {
     auto cfg = small_config(ps::StrategyConfig::fifo());
     cfg.reliability.loss_rate = 0.1;
     cfg.reliability.retry_budget = 0;
-    EXPECT_DEATH(ps::Cluster{cfg}, "retry_budget");
+    EXPECT_DEATH(cfg.validate(), "retry_budget");
   }
   {
     // Loss that only arrives via a dynamics event passes the transport's own
@@ -256,14 +255,14 @@ TEST(ShardedPsDeathTest, ValidateDiagnosticsNameTheOffendingField) {
     auto cfg = small_config(ps::StrategyConfig::fifo());
     cfg.reliability.retry_budget = 0;
     cfg.dynamics.loss_rate(1_s, 0.1);
-    EXPECT_DEATH(ps::Cluster{cfg}, "reliability.retry_budget");
+    EXPECT_DEATH(cfg.validate(), "reliability.retry_budget");
   }
   {
     // The ASP-crash rejection points at the ROADMAP item that would lift it.
     auto cfg = small_config(ps::StrategyConfig::fifo());
     cfg.sync = ps::SyncMode::kAsp;
     cfg.dynamics.worker_crash(1_s, 100_ms, 0);
-    EXPECT_DEATH(ps::Cluster{cfg}, "stale-synchronous parallel mode");
+    EXPECT_DEATH(cfg.validate(), "stale-synchronous parallel mode");
   }
 }
 

@@ -1,8 +1,8 @@
-// TopologySpec / BuiltTopology / link-level routing and contention, plus the
-// back-compat guarantees of the redesigned network API: a TopologySpec::star
-// run is bit-identical to the legacy flat-bandwidth configuration, and
-// ClusterConfig::validate rejects fabrics that cannot seat the job or
-// ambiguous per-worker overrides on non-star fabrics.
+// TopologySpec / BuiltTopology / link-level routing and contention, a star
+// spec replaying the pre-spec golden trace, plus the fabric checks of
+// ClusterConfig::validate: it rejects fabrics that cannot seat the job, and
+// TopologySpec::validate rejects ambiguous per-worker overrides on leaf-spine
+// fabrics.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -155,17 +155,16 @@ TEST(TopologyLinks, NamedLookupAndTargetResolution) {
   EXPECT_TRUE(resolve_link_target(f.net, "nope").empty());
 }
 
-// The API-redesign keystone: a ClusterConfig carrying an explicit
-// TopologySpec::star must replay the legacy flat-bandwidth configuration bit
-// for bit — same event count, same simulated time, same rate.
+// A ClusterConfig carrying an explicit TopologySpec::star replays the golden
+// trace recorded before fabrics had a spec of their own, bit for bit — same
+// event count, same simulated time, same rate.
 TEST(TopologyGolden, StarSpecMatchesLegacyGoldenTrace) {
   ps::ClusterConfig cfg;
   cfg.model = dnn::resnet50();
   cfg.num_workers = 3;
   cfg.batch = 64;
   cfg.iterations = 10;
-  cfg.topology =
-      TopologySpec::star(Bandwidth::gbps(3), Bandwidth::gbps(10));
+  cfg.topology = TopologySpec::star(Bandwidth::gbps(3), Bandwidth::gbps(10));
   cfg.strategy = ps::StrategyConfig::fifo();
   cfg.strategy.prophet_config.profile_iterations = 4;
   const auto result = ps::run_cluster(cfg, 5);
@@ -179,15 +178,15 @@ TEST(TopologyValidation, RejectsFabricTooSmallForJob) {
   ps::ClusterConfig cfg;
   cfg.num_workers = 8;  // 8 workers + PS = 9 hosts > 2x4 fabric
   cfg.topology = TopologySpec::leaf_spine(2, 4, Bandwidth::gbps(10), 4.0);
-  EXPECT_DEATH(ps::Cluster{cfg}, "rack capacity cannot hold");
+  EXPECT_DEATH(cfg.validate(), "rack capacity cannot hold");
 }
 
 TEST(TopologyValidation, RejectsWorkerOverrideOnNonStarTopology) {
   ps::ClusterConfig cfg;
   cfg.num_workers = 3;
   cfg.topology = TopologySpec::leaf_spine(2, 4, Bandwidth::gbps(10), 4.0);
-  cfg.worker_bandwidth_override = {Bandwidth::gbps(1)};
-  EXPECT_DEATH(ps::Cluster{cfg}, "worker_bandwidth_override is ambiguous");
+  cfg.topology->worker_bandwidth_override = {Bandwidth::gbps(1)};
+  EXPECT_DEATH(cfg.validate(), "worker_bandwidth_override is ambiguous");
 }
 
 TEST(TopologyValidation, SpecRejectsMalformedParameters) {

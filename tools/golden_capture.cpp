@@ -1,10 +1,22 @@
 // One-shot capture of pre-optimization engine outputs. Compiled ad hoc
 // against the current build to produce the reference constants baked into
-// tests/test_engine_perf_invariants.cpp. Not part of the build.
+// tests/test_engine_perf_invariants.cpp. Not part of the build; from the repo
+// root, after `cmake --build build`:
+//
+//   g++ -std=c++20 -O2 -Isrc tools/golden_capture.cpp \
+//       build/src/allreduce/libprophet_allreduce.a \
+//       build/src/cluster/libprophet_cluster.a build/src/ps/libprophet_ps.a \
+//       build/src/core/libprophet_core.a build/src/sched/libprophet_sched.a \
+//       build/src/metrics/libprophet_metrics.a build/src/dnn/libprophet_dnn.a \
+//       build/src/net/libprophet_net.a build/src/audit/libprophet_audit.a \
+//       build/src/sim/libprophet_sim.a build/src/common/libprophet_common.a \
+//       -o golden_capture && ./golden_capture
 #include <cstdint>
 #include <cstdio>
 #include <vector>
 
+#include "allreduce/cluster.hpp"
+#include "cluster/multi_job.hpp"
 #include "common/rng.hpp"
 #include "core/block_planner.hpp"
 #include "core/local_search.hpp"
@@ -13,6 +25,7 @@
 #include "dnn/model_zoo.hpp"
 #include "dnn/stepwise.hpp"
 #include "net/flow_network.hpp"
+#include "net/topology.hpp"
 #include "ps/cluster.hpp"
 #include "sim/simulator.hpp"
 
@@ -212,7 +225,7 @@ void capture_cluster(const char* name, const ps::StrategyConfig& strategy) {
   cfg.num_workers = 3;
   cfg.batch = 64;
   cfg.iterations = 10;
-  cfg.worker_bandwidth = Bandwidth::gbps(3);
+  cfg.topology = net::TopologySpec::star(Bandwidth::gbps(3), Bandwidth::gbps(10));
   cfg.strategy = strategy;
   cfg.strategy.prophet_config.profile_iterations = 4;
   const auto result = ps::run_cluster(cfg, 5);
@@ -220,6 +233,58 @@ void capture_cluster(const char* name, const ps::StrategyConfig& strategy) {
               (unsigned long long)result.events_fired,
               (long long)result.simulated_time.count_nanos(),
               (long long)(result.mean_rate() * 100.0));
+}
+
+// A 4-worker toy_cnn ring, under both rebalance modes (which must agree).
+void capture_allreduce(const char* name, const ps::StrategyConfig& strategy) {
+  for (const auto mode : {net::RebalanceMode::kIncremental, net::RebalanceMode::kFull}) {
+    ps::ClusterConfig cfg;
+    cfg.model = dnn::toy_cnn();
+    cfg.num_workers = 4;
+    cfg.batch = 32;
+    cfg.iterations = 10;
+    cfg.topology = net::TopologySpec::star(Bandwidth::gbps(2), Bandwidth::gbps(2));
+    cfg.strategy = strategy;
+    cfg.strategy.prophet_config.profile_iterations = 4;
+    cfg.rate_rebalance = mode;
+    const auto result = ar::run_allreduce(cfg, 5);
+    std::printf("allreduce %s mode=%d sim_ns=%lld rate_centi=%lld\n", name,
+                static_cast<int>(mode), (long long)result.simulated_time.count_nanos(),
+                (long long)(result.mean_rate() * 100.0));
+  }
+}
+
+// Two toy_cnn jobs (FIFO, Prophet) striped over a 2x4 leaf-spine with
+// CASSINI offsets, so the spine, the interleave and the shared loop all take
+// part; under both rebalance modes.
+void capture_multi_job() {
+  for (const auto mode : {net::RebalanceMode::kIncremental, net::RebalanceMode::kFull}) {
+    cluster::MultiJobConfig mcfg;
+    mcfg.topology = net::TopologySpec::leaf_spine(2, 4, Bandwidth::gbps(1), 4.0);
+    mcfg.placement = cluster::PlacementPolicy::kFifoStripe;
+    mcfg.interleave = cluster::InterleavePolicy::kCassini;
+    mcfg.rate_rebalance = mode;
+    for (const auto& strategy : {ps::StrategyConfig::fifo(), ps::StrategyConfig::prophet()}) {
+      cluster::JobSpec job;
+      job.config.model = dnn::toy_cnn();
+      job.config.num_workers = 3;
+      job.config.batch = 32;
+      job.config.iterations = 10;
+      job.config.seed = 42 + mcfg.jobs.size();
+      job.config.strategy = strategy;
+      job.config.strategy.prophet_config.profile_iterations = 4;
+      mcfg.jobs.push_back(std::move(job));
+    }
+    const auto result = cluster::run_multi_job(mcfg);
+    std::printf("multijob mode=%d makespan_ns=%lld events=%llu", static_cast<int>(mode),
+                (long long)result.makespan.count_nanos(),
+                (unsigned long long)result.events_fired);
+    for (const auto& job : result.jobs) {
+      std::printf(" %s_rate_centi=%lld", job.name.c_str(),
+                  (long long)(job.result.mean_rate() * 100.0));
+    }
+    std::printf("\n");
+  }
 }
 
 }  // namespace
@@ -236,5 +301,8 @@ int main() {
   prophet::capture_flows();
   prophet::capture_cluster("fifo", prophet::ps::StrategyConfig::fifo());
   prophet::capture_cluster("prophet", prophet::ps::StrategyConfig::prophet());
+  prophet::capture_allreduce("fifo", prophet::ps::StrategyConfig::fifo());
+  prophet::capture_allreduce("prophet", prophet::ps::StrategyConfig::prophet());
+  prophet::capture_multi_job();
   return 0;
 }

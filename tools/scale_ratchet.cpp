@@ -3,8 +3,8 @@
 // Compares a freshly produced BENCH_scale_smoke.json against the committed
 // baseline (bench_results/BENCH_scale_smoke_baseline.json) and fails when any
 // bench cell's full/incremental speedup drops below MIN_RATIO x its baseline
-// value. The speedup is a wall-time *ratio of two arms run back-to-back on
-// the same machine*, so it is paired against machine speed — a CI runner that
+// value. The speedup is a CPU-time *ratio of two arms run alternately on the
+// same machine*, so it is paired against machine speed — a CI runner that
 // is uniformly 3x slower reports the same ratio, while a regression that
 // pushes the incremental engine off its rate-group fast path (speedup
 // collapsing toward 1.0x) trips the gate regardless of the runner.
