@@ -9,15 +9,16 @@ namespace prophet {
 BinnedSeries::BinnedSeries(Duration bin_width, Duration horizon) : bin_width_{bin_width} {
   PROPHET_CHECK(bin_width > Duration::zero());
   PROPHET_CHECK(horizon > Duration::zero());
-  const auto n = static_cast<std::size_t>(
+  bin_count_ = static_cast<std::size_t>(
       (horizon.count_nanos() + bin_width.count_nanos() - 1) / bin_width.count_nanos());
-  bins_.assign(n, 0.0);
 }
 
 void BinnedSeries::add_amount(TimePoint at, double amount) {
   if (at < TimePoint::origin()) return;
   const auto idx = static_cast<std::size_t>(at.count_nanos() / bin_width_.count_nanos());
-  if (idx < bins_.size()) bins_[idx] += amount;
+  if (idx >= bin_count_) return;
+  if (idx >= bins_.size()) bins_.resize(idx + 1, 0.0);
+  bins_[idx] += amount;
 }
 
 void BinnedSeries::add_amount_spread(TimePoint begin, TimePoint end, double amount) {
@@ -25,43 +26,37 @@ void BinnedSeries::add_amount_spread(TimePoint begin, TimePoint end, double amou
     add_amount(begin, amount);
     return;
   }
-  const double rate = amount / (end - begin).to_seconds();
-  auto b = std::max(begin, TimePoint::origin());
-  const auto horizon = TimePoint::origin() + bin_width_ * static_cast<std::int64_t>(bins_.size());
-  const auto e = std::min(end, horizon);
-  while (b < e) {
-    const auto idx = static_cast<std::size_t>(b.count_nanos() / bin_width_.count_nanos());
-    const TimePoint bin_end =
-        TimePoint::origin() + bin_width_ * static_cast<std::int64_t>(idx + 1);
-    const TimePoint seg_end = std::min(e, bin_end);
-    bins_[idx] += rate * (seg_end - b).to_seconds();
-    b = seg_end;
-  }
+  spread(begin, end, amount / (end - begin).to_seconds());
 }
 
 void BinnedSeries::add_interval(TimePoint begin, TimePoint end) {
   if (end <= begin) return;
+  spread(begin, end, 1.0);
+}
+
+void BinnedSeries::spread(TimePoint begin, TimePoint end, double per_second) {
   auto b = std::max(begin, TimePoint::origin());
-  const auto horizon = TimePoint::origin() + bin_width_ * static_cast<std::int64_t>(bins_.size());
+  const auto horizon = TimePoint::origin() + bin_width_ * static_cast<std::int64_t>(bin_count_);
   const auto e = std::min(end, horizon);
   while (b < e) {
     const auto idx = static_cast<std::size_t>(b.count_nanos() / bin_width_.count_nanos());
     const TimePoint bin_end =
         TimePoint::origin() + bin_width_ * static_cast<std::int64_t>(idx + 1);
     const TimePoint seg_end = std::min(e, bin_end);
-    bins_[idx] += (seg_end - b).to_seconds();
+    if (idx >= bins_.size()) bins_.resize(idx + 1, 0.0);
+    bins_[idx] += per_second * (seg_end - b).to_seconds();
     b = seg_end;
   }
 }
 
 TimePoint BinnedSeries::bin_start(std::size_t i) const {
-  PROPHET_CHECK(i < bins_.size());
+  PROPHET_CHECK(i < bin_count_);
   return TimePoint::origin() + bin_width_ * static_cast<std::int64_t>(i);
 }
 
 double BinnedSeries::bin_amount(std::size_t i) const {
-  PROPHET_CHECK(i < bins_.size());
-  return bins_[i];
+  PROPHET_CHECK(i < bin_count_);
+  return i < bins_.size() ? bins_[i] : 0.0;
 }
 
 double BinnedSeries::bin_rate(std::size_t i) const {
@@ -69,7 +64,7 @@ double BinnedSeries::bin_rate(std::size_t i) const {
 }
 
 double BinnedSeries::mean_rate(std::size_t first, std::size_t last) const {
-  PROPHET_CHECK(first <= last && last <= bins_.size());
+  PROPHET_CHECK(first <= last && last <= bin_count_);
   if (first == last) return 0.0;
   double total = 0.0;
   for (std::size_t i = first; i < last; ++i) total += bin_rate(i);

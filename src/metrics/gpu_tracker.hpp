@@ -31,6 +31,13 @@ class GpuTracker {
   [[nodiscard]] const std::vector<std::pair<TimePoint, TimePoint>>& intervals() const {
     return intervals_;
   }
+  // Result hand-off: move the series / intervals out instead of copying
+  // them. The tracker reads them empty afterwards; totals and utilization()
+  // are unaffected.
+  [[nodiscard]] BinnedSeries take_series() { return std::move(series_); }
+  [[nodiscard]] std::vector<std::pair<TimePoint, TimePoint>> take_intervals() {
+    return std::move(intervals_);
+  }
 
  private:
   BinnedSeries series_;

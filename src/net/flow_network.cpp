@@ -560,14 +560,16 @@ void FlowNetwork::verify_against_full() {
 
 // --- rate-group engine ------------------------------------------------------
 //
-// Exactness contract: a group never invents new floating-point operations.
-// The group rate is the same cap/int-count division progressive filling
-// evaluates; member settlement replays the same per-boundary rate*elapsed
-// chunks (with the same min-clamp, link credits and tracker spreads) the
-// eager engine applied; and the lane is aimed with the same
+// Exactness contract: a group never invents new floating-point operations
+// on the simulated state. The group rate is the same cap/int-count division
+// progressive filling evaluates; member settlement replays the same
+// per-boundary rate*elapsed chunks (with the same min-clamp and link credits)
+// the eager engine applied; and the lane is aimed with the same
 // remaining/rate -> Duration::from_seconds rounding as
 // reschedule_completion. That is what keeps verify mode and the cross-mode
-// byte identities bit-for-bit. See DESIGN.md §4d.
+// byte identities bit-for-bit. Tracker bins are metrics only: a replay sums
+// the chunks that fall inside one bin before writing them, so they equal
+// the eager spreads up to summation order. See DESIGN.md §4d.
 
 namespace {
 // "later" ordering for the next-finisher heap: std:: heap helpers keep the
@@ -575,6 +577,53 @@ namespace {
 constexpr auto kGroupEntryLater = [](const auto& a, const auto& b) {
   if (a.vfinish != b.vfinish) return a.vfinish > b.vfinish;
   return a.admission > b.admission;
+};
+
+// One replay's tracker credits on one link. Chunks arrive in time order and
+// never overlap; consecutive chunks inside one bin are summed and written
+// with a single add_amount, and a chunk crossing a bin edge is spread as the
+// eager engine spreads it. Call flush() once the replay is done.
+class TrackerRun {
+ public:
+  TrackerRun() = default;
+  explicit TrackerRun(BinnedSeries* series) : series_{series} {}
+
+  void credit(TimePoint begin, TimePoint end, double bytes) {
+    if (end <= bin_end_) {
+      bytes_ += bytes;
+    } else {
+      start(begin, end, bytes);
+    }
+  }
+  void flush() {
+    if (bin_end_ == TimePoint::origin()) return;
+    series_->add_amount(at_, bytes_);
+    bin_end_ = TimePoint::origin();
+  }
+
+ private:
+  // The chunk leaves the open run's bin: write the run, then open one at
+  // this chunk's bin or spread the chunk across the edges it crosses. Kept
+  // out of line so the replay loop around credit() stays in registers.
+  [[gnu::noinline]] void start(TimePoint begin, TimePoint end, double bytes) {
+    flush();
+    if (series_->bin_count() == 0) return;  // an empty series records nothing
+    const Duration width = series_->bin_width();
+    const TimePoint bin_end =
+        TimePoint::origin() + width * (begin.count_nanos() / width.count_nanos() + 1);
+    if (end <= bin_end) {
+      at_ = begin;
+      bin_end_ = bin_end;
+      bytes_ = bytes;
+    } else {
+      series_->add_amount_spread(begin, end, bytes);
+    }
+  }
+
+  BinnedSeries* series_ = nullptr;
+  TimePoint at_{};
+  TimePoint bin_end_{};  // end of the open run's bin; origin: no run open
+  double bytes_ = 0.0;
 };
 }  // namespace
 
@@ -635,33 +684,45 @@ void FlowNetwork::settle_group_flow(std::uint32_t slot, TimePoint now) {
   ++stats_.flows_settled;
   // Replay the group's piecewise-constant rate history from the flow's last
   // settlement point. Each chunk applies the identical rate*elapsed product
-  // (same min-clamp, same link/tracker credits over the same interval) the
-  // eager engine applied at that boundary, so byte accounting stays
-  // bit-identical no matter when settlement actually happens.
+  // (same min-clamp, same link credits over the same interval) the eager
+  // engine applied at that boundary, so byte accounting stays bit-identical
+  // no matter when settlement actually happens. The replay runs on locals:
+  // the remainder, one running total per path slot (the same additions in
+  // the same order; slots past the path add up unused, which keeps every
+  // total in a register) and one tracker run per tracked link, so tracker
+  // writes cost one per bin touched, not one per chunk.
+  std::array<double, kMaxPathLinks> totals{};
+  std::array<TrackerRun, kMaxPathLinks> runs{};
+  std::size_t n_runs = 0;
+  for (std::uint8_t i = 0; i < f.path_len; ++i) {
+    const Link& l = links_[f.path[i]];
+    totals[i] = l.total_bytes;
+    if (l.tracker != nullptr) runs[n_runs++] = TrackerRun{l.tracker};
+  }
+  double remaining = f.remaining;
+  TimePoint settled = f.last_settled;
   std::size_t k = f.group_hist;
   const std::size_t nseg = g.history.size();
   for (;;) {
     const TimePoint seg_end = (k + 1 < nseg) ? g.history[k + 1].start : now;
     const TimePoint end = seg_end < now ? seg_end : now;
-    if (end > f.last_settled) {
+    if (end > settled) {
       const double rate = g.history[k].rate;
       if (rate > 0.0) {
-        const double elapsed_s = (end - f.last_settled).to_seconds();
-        const double drained = std::min(f.remaining, rate * elapsed_s);
-        f.remaining -= drained;
-        for (std::uint8_t i = 0; i < f.path_len; ++i) {
-          Link& l = links_[f.path[i]];
-          l.total_bytes += drained;
-          if (l.tracker != nullptr) {
-            l.tracker->add_amount_spread(f.last_settled, end, drained);
-          }
-        }
+        const double elapsed_s = (end - settled).to_seconds();
+        const double drained = std::min(remaining, rate * elapsed_s);
+        remaining -= drained;
+        for (double& total : totals) total += drained;
+        for (std::size_t r = 0; r < n_runs; ++r) runs[r].credit(settled, end, drained);
       }
-      f.last_settled = end;
+      settled = end;
     }
     if (seg_end >= now || k + 1 >= nseg) break;
     ++k;
   }
+  for (std::uint8_t i = 0; i < f.path_len; ++i) links_[f.path[i]].total_bytes = totals[i];
+  for (std::size_t r = 0; r < n_runs; ++r) runs[r].flush();
+  f.remaining = remaining;
   f.group_hist = static_cast<std::uint32_t>(k);
   f.last_settled = now;
 }

@@ -278,11 +278,22 @@ void JobRuntime::finish_audit() {
 }
 
 ClusterResult JobRuntime::collect(std::optional<std::size_t> measure_first,
-                                  std::uint64_t events_fired) const {
+                                  std::uint64_t events_fired) {
+  PROPHET_CHECK_MSG(!collected_,
+                    "JobRuntime::collect() is single-use: it moves the job's "
+                    "logs and series into the first result");
+  collected_ = true;
   const ClusterConfig& cfg = config_;
   const std::size_t first =
       measure_first.has_value() ? *measure_first : cfg.default_measure_first();
   const std::size_t last = cfg.iterations;
+
+  // The network may outlive this job (and keeps settling for other jobs on a
+  // shared fabric): stop it from crediting series that are about to move.
+  for (const net::NodeId node : worker_nodes_) {
+    network_.attach_tracker(node, net::Direction::kTx, nullptr);
+    network_.attach_tracker(node, net::Direction::kRx, nullptr);
+  }
 
   ClusterResult result;
   result.measure_first = first;
@@ -291,25 +302,24 @@ ClusterResult JobRuntime::collect(std::optional<std::size_t> measure_first,
   result.events_fired = events_fired;
   result.audit_checks = auditor_ != nullptr ? auditor_->checks_run() : 0;
   result.rebalance = network_.rebalance_stats();
+  result.workers.reserve(cfg.num_workers);
   for (std::size_t w = 0; w < cfg.num_workers; ++w) {
-    const Worker& worker = *workers_[w];
-    WorkerResult wr{.id = w,
-                    .rate_samples_per_sec = 0.0,
-                    .gpu_utilization = 0.0,
-                    .iterations_completed = worker.current_iteration(),
-                    .prophet_activated_at = worker.prophet_activated_at(),
-                    .prophet_replans = worker.prophet_replans(),
-                    .training = worker.training_metrics(),
-                    .transfers = worker.transfers(),
-                    .gpu_series = worker.gpu().series(),
-                    .gpu_intervals = worker.gpu().intervals(),
-                    .tx_series = tx_series_[w],
-                    .rx_series = rx_series_[w]};
+    Worker& worker = *workers_[w];
     const auto& tm = worker.training_metrics();
-    wr.rate_samples_per_sec = tm.rate_samples_per_sec(first, last);
-    wr.gpu_utilization =
-        worker.gpu().utilization(tm.iteration_start(first), tm.iteration_start(last));
-    result.workers.push_back(std::move(wr));
+    result.workers.push_back(WorkerResult{
+        .id = w,
+        .rate_samples_per_sec = tm.rate_samples_per_sec(first, last),
+        .gpu_utilization = worker.gpu().utilization(tm.iteration_start(first),
+                                                    tm.iteration_start(last)),
+        .iterations_completed = worker.current_iteration(),
+        .prophet_activated_at = worker.prophet_activated_at(),
+        .prophet_replans = worker.prophet_replans(),
+        .training = tm,
+        .transfers = worker.take_transfers(),
+        .gpu_series = worker.gpu().take_series(),
+        .gpu_intervals = worker.gpu().take_intervals(),
+        .tx_series = std::move(tx_series_[w]),
+        .rx_series = std::move(rx_series_[w])});
   }
   return result;
 }

@@ -8,7 +8,12 @@
 //                    scheduler-chosen start offset) and arms dynamics;
 //   ... sim steps ...
 //   when done(): recover_crashed(); disarm_faults(); finish_training(now);
-//   ... drain ...  finish_audit(); collect(...).
+//   ... drain ...  finish_audit(); collect(...) — once.
+//
+// collect() hands the job's logs and series over to the result by moving
+// them, so it is single-use: it first detaches the job's throughput trackers
+// from the (possibly shared) network, so no tracker pointer outlives the
+// series it names, and a second call aborts.
 //
 // A zero-offset start() calls Worker::start directly (no extra scheduled
 // event), so a single job with default JobOptions fires exactly the events
@@ -95,9 +100,10 @@ class JobRuntime {
 
   // Gathers per-worker results over [measure_first, iterations), by default
   // from ClusterConfig::default_measure_first(). `events_fired` is the
-  // simulator-wide count (jobs sharing a loop share it).
+  // simulator-wide count (jobs sharing a loop share it). Single use: moves
+  // the transfer logs, GPU and throughput series into the result.
   [[nodiscard]] ClusterResult collect(std::optional<std::size_t> measure_first,
-                                      std::uint64_t events_fired) const;
+                                      std::uint64_t events_fired);
 
  private:
   void apply_event(const net::DynamicsEvent& ev);
@@ -120,6 +126,7 @@ class JobRuntime {
   // so repeated scale events never compound.
   std::map<net::LinkId, Bandwidth> link_base_caps_;
   bool faults_live_ = true;
+  bool collected_ = false;
   Duration training_span_{};
 };
 

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "audit/bsp_auditor.hpp"
@@ -124,7 +125,12 @@ class Worker {
     return training_;
   }
   [[nodiscard]] const metrics::GpuTracker& gpu() const { return gpu_; }
+  // Result hand-off (JobRuntime::collect moves the GPU timeline out).
+  [[nodiscard]] metrics::GpuTracker& gpu() { return gpu_; }
   [[nodiscard]] const metrics::TransferLog& transfers() const { return transfer_log_; }
+  // Result hand-off: moves the transfer log out instead of copying it; the
+  // worker's log reads empty afterwards.
+  [[nodiscard]] metrics::TransferLog take_transfers() { return std::move(transfer_log_); }
   [[nodiscard]] const net::BandwidthMonitor& uplink_monitor() const { return *tx_monitor_; }
   // Iteration at which Prophet's profile became active (nullopt: not Prophet
   // or still profiling).

@@ -3,7 +3,14 @@
 // the engine-level invariants the modules promise each other.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
+#include "net/flow_network.hpp"
+#include "net/topology.hpp"
 #include "ps/cluster.hpp"
+#include "ps/job_runtime.hpp"
+#include "sim/simulator.hpp"
 
 namespace prophet::ps {
 namespace {
@@ -192,6 +199,44 @@ TEST(ClusterIntegration, ThroughputSeriesAccountsAllTrafficOfWorker) {
     // 12 iterations of pushes (plus nothing else on the uplink).
     EXPECT_NEAR(tx_total, per_iter * 12, per_iter * 0.01);
   }
+}
+
+
+// collect() moves the job's logs and series into its result, so it is
+// single-use: a second call aborts naming the contract, and the job's
+// trackers leave the shared network before their series move out.
+TEST(JobRuntimeDeathTest, CollectIsSingleUse) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const ClusterConfig cfg = small_config(StrategyConfig::fifo());
+  sim::Simulator sim;
+  net::FlowNetwork network{sim, net::TcpCostModel{cfg.tcp}};
+  net::BuiltTopology topology{network, *cfg.topology};
+  std::vector<std::unique_ptr<JobRuntime>> jobs;
+  jobs.push_back(std::make_unique<JobRuntime>(sim, network, topology, cfg));
+  run_jobs(sim, jobs, cfg.metrics_horizon);
+
+  const ClusterResult result = jobs.front()->collect(6, sim.events_fired());
+  ASSERT_EQ(result.workers.size(), cfg.num_workers);
+  for (const auto& w : result.workers) {
+    EXPECT_FALSE(w.transfers.records().empty());
+    EXPECT_FALSE(w.gpu_intervals.empty());
+    EXPECT_GT(w.gpu_series.stored_bins(), 0u);
+    EXPECT_GT(w.tx_series.stored_bins(), 0u);
+    EXPECT_GT(w.rx_series.stored_bins(), 0u);
+  }
+  EXPECT_DEATH((void)jobs.front()->collect(6, sim.events_fired()), "single-use");
+
+  // The fabric outlives the job: traffic between its former hosts settles
+  // without reaching the destroyed series (a use-after-free under ASan if a
+  // tracker were still attached).
+  const net::NodeId worker = jobs.front()->worker_nodes().front();
+  const net::NodeId ps = jobs.front()->ps_node();
+  jobs.clear();
+  bool delivered = false;
+  network.start_flow(worker, ps, Bytes::mib(1),
+                     [&delivered](net::FlowId) { delivered = true; });
+  sim.run();
+  EXPECT_TRUE(delivered);
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/time_series.hpp"
@@ -186,6 +189,98 @@ TEST(FlowNetwork, ManyConcurrentFlowsConserveBytes) {
   EXPECT_EQ(done, 10);
   EXPECT_EQ(f.net.total_bytes(ps, Direction::kRx), Bytes::mib(35).count());
   EXPECT_EQ(f.net.total_bytes(ps, Direction::kTx), Bytes::mib(15).count());
+}
+
+
+// A tracked incast run end to end: what the eager kFull engine and the
+// rate-group replay must agree on.
+struct TrackedIncast {
+  std::vector<std::int64_t> finish_ns;  // per flow: push i at 2i, pull i at 2i+1
+  std::vector<std::int64_t> link_bytes;
+  std::vector<std::int64_t> link_busy_ns;
+  std::vector<BinnedSeries> trackers;  // per worker: tx at 2i, rx at 2i+1
+  double polled_remaining = 0.0;
+  std::size_t groups_at_poll = 0;
+};
+
+TrackedIncast run_tracked_incast(RebalanceMode mode) {
+  constexpr std::size_t kWorkers = 12;
+  sim::Simulator sim;
+  FlowNetwork net{sim, no_overhead_model(), mode};
+  TrackedIncast out;
+  out.finish_ns.assign(2 * kWorkers, -1);
+  out.trackers.assign(2 * kWorkers, BinnedSeries{1_ms, 60_s});
+  // The PS NIC is the bottleneck of both the push incast (ps.rx) and the
+  // pull fan-out (ps.tx), so each direction forms a rate group.
+  const NodeId ps = net.add_node("ps", Bandwidth::gbps(40), Bandwidth::gbps(40));
+  std::vector<NodeId> workers;
+  for (std::size_t w = 0; w < kWorkers; ++w) {
+    workers.push_back(net.add_node("w" + std::to_string(w), Bandwidth::gbps(10),
+                                   Bandwidth::gbps(10)));
+    net.attach_tracker(workers.back(), Direction::kTx, &out.trackers[2 * w]);
+    net.attach_tracker(workers.back(), Direction::kRx, &out.trackers[2 * w + 1]);
+  }
+  // Arrivals 250 us apart and sizes 40 kB apart put several admissions and
+  // several completions inside one 1 ms bin (some boundaries land exactly on
+  // a bin edge), while the long drain in between makes segments cross many
+  // bin edges.
+  FlowId polled = 0;
+  for (std::size_t w = 0; w < kWorkers; ++w) {
+    const auto k = static_cast<std::int64_t>(w);
+    const Bytes size = Bytes::of(1'500'000'000 + 40'000 * k);
+    sim.schedule_after(Duration::micros(250 * k), [&, w, size] {
+      const FlowId push = net.start_flow(workers[w], ps, size, [&out, &sim, w](FlowId) {
+        out.finish_ns[2 * w] = sim.now().count_nanos();
+      });
+      net.start_flow(ps, workers[w], size, [&out, &sim, w](FlowId) {
+        out.finish_ns[2 * w + 1] = sim.now().count_nanos();
+      });
+      if (w == 3) polled = push;
+    });
+  }
+  // One member settled alone between two admissions: mid-segment and
+  // mid-bin, so its next replay resumes inside a bin it already wrote.
+  sim.schedule_at(TimePoint::origin() + Duration::nanos(1'871'300), [&] {
+    out.groups_at_poll = net.rate_group_count();
+    out.polled_remaining = net.flow_remaining_bytes(polled);
+  });
+  sim.run();
+  for (LinkId l = 0; l < net.link_count(); ++l) {
+    out.link_bytes.push_back(net.link_total_bytes(l));
+    out.link_busy_ns.push_back(net.link_busy_time(l).count_nanos());
+  }
+  return out;
+}
+
+// Rate-group replays sum the chunks that fall inside one tracker bin before
+// writing them. That is metrics only: against the eager engine the
+// trajectory stays bitwise equal, and each bin agrees up to summation order.
+TEST(FlowNetwork, GroupTrackerBinsMatchEagerSettlement) {
+  const TrackedIncast eager = run_tracked_incast(RebalanceMode::kFull);
+  const TrackedIncast grouped = run_tracked_incast(RebalanceMode::kIncremental);
+  EXPECT_EQ(grouped.groups_at_poll, 2u);
+  EXPECT_EQ(grouped.polled_remaining, eager.polled_remaining);
+  EXPECT_EQ(grouped.finish_ns, eager.finish_ns);
+  EXPECT_EQ(grouped.link_bytes, eager.link_bytes);
+  EXPECT_EQ(grouped.link_busy_ns, eager.link_busy_ns);
+  for (const std::int64_t t : grouped.finish_ns) EXPECT_GT(t, 0);
+
+  for (std::size_t t = 0; t < grouped.trackers.size(); ++t) {
+    const BinnedSeries& g = grouped.trackers[t];
+    const BinnedSeries& e = eager.trackers[t];
+    ASSERT_EQ(g.bin_count(), e.bin_count());
+    double sum = 0.0;
+    for (std::size_t b = 0; b < g.bin_count(); ++b) {
+      const double want = e.bin_amount(b);
+      EXPECT_LE(std::abs(g.bin_amount(b) - want), 1e-12 * std::abs(want))
+          << "tracker " << t << " bin " << b;
+      sum += g.bin_amount(b);
+    }
+    // Worker w's tx is link 2 + 2w, its rx link 3 + 2w (the PS owns 0 and 1).
+    const auto total = static_cast<double>(grouped.link_bytes[2 + t]);
+    EXPECT_GT(total, 0.0) << "tracker " << t;
+    EXPECT_LE(std::abs(sum - total), 1e-9 * total) << "tracker " << t;
+  }
 }
 
 }  // namespace

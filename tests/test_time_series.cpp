@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/time_series.hpp"
 
 namespace prophet {
@@ -82,6 +84,58 @@ TEST(BinnedSeries, BinStart) {
   BinnedSeries s{250_ms, 1_s};
   EXPECT_EQ(s.bin_start(0), TimePoint::origin());
   EXPECT_EQ(s.bin_start(3), TimePoint::origin() + 750_ms);
+}
+
+// Storage grows only to the last bin written; readers still see the whole
+// horizon, with unwritten bins reading zero.
+TEST(BinnedSeries, StorageGrowsLazilyToLastWrittenBin) {
+  BinnedSeries s{100_ms, 1_s};
+  EXPECT_EQ(s.bin_count(), 10u);
+  EXPECT_EQ(s.stored_bins(), 0u);
+  for (std::size_t i = 0; i < s.bin_count(); ++i) EXPECT_DOUBLE_EQ(s.bin_amount(i), 0.0);
+
+  s.add_amount(TimePoint::origin() + 250_ms, 5.0);
+  EXPECT_EQ(s.stored_bins(), 3u);
+  s.add_amount_spread(TimePoint::origin() + 320_ms, TimePoint::origin() + 480_ms, 8.0);
+  EXPECT_EQ(s.stored_bins(), 5u);
+  s.add_interval(TimePoint::origin() + 50_ms, TimePoint::origin() + 150_ms);
+  EXPECT_EQ(s.stored_bins(), 5u);  // earlier bins are already stored
+  EXPECT_EQ(s.bin_count(), 10u);
+
+  EXPECT_DOUBLE_EQ(s.bin_amount(2), 5.0);
+  EXPECT_NEAR(s.bin_amount(3), 4.0, 1e-12);
+  EXPECT_NEAR(s.bin_amount(4), 4.0, 1e-12);
+  for (std::size_t i = 5; i < s.bin_count(); ++i) EXPECT_DOUBLE_EQ(s.bin_amount(i), 0.0);
+  EXPECT_DOUBLE_EQ(s.bin_rate(9), 0.0);
+  EXPECT_EQ(s.bin_start(9), TimePoint::origin() + 900_ms);
+  // The mean still runs over the whole horizon: 13.1 units over ten bins.
+  EXPECT_NEAR(s.mean_rate(), 13.1 / 0.1 / 10.0, 1e-9);
+}
+
+TEST(BinnedSeries, WritesPastHorizonDoNotGrowStorage) {
+  BinnedSeries s{100_ms, 1_s};
+  s.add_amount(TimePoint::origin() + 150_ms, 1.0);
+  s.add_amount(TimePoint::origin() + 1_s, 3.0);
+  s.add_amount(TimePoint::origin() + 5_s, 3.0);
+  s.add_amount_spread(TimePoint::origin() + 2_s, TimePoint::origin() + 3_s, 9.0);
+  s.add_interval(TimePoint::origin() + 1_s, TimePoint::origin() + 4_s);
+  EXPECT_EQ(s.stored_bins(), 2u);
+  EXPECT_EQ(s.bin_count(), 10u);
+  // A spread straddling the horizon keeps its in-horizon share only.
+  s.add_amount_spread(TimePoint::origin() + 950_ms, TimePoint::origin() + 1050_ms, 2.0);
+  EXPECT_EQ(s.stored_bins(), 10u);
+  EXPECT_NEAR(s.bin_amount(9), 1.0, 1e-12);
+}
+
+TEST(BinnedSeries, MovedSeriesKeepsItsValues) {
+  BinnedSeries s{100_ms, 1_s};
+  s.add_amount(TimePoint::origin() + 450_ms, 7.0);
+  const BinnedSeries moved = std::move(s);
+  EXPECT_EQ(moved.bin_count(), 10u);
+  EXPECT_EQ(moved.stored_bins(), 5u);
+  EXPECT_DOUBLE_EQ(moved.bin_amount(4), 7.0);
+  EXPECT_DOUBLE_EQ(moved.bin_amount(8), 0.0);
+  EXPECT_EQ(moved.bin_width(), 100_ms);
 }
 
 }  // namespace
