@@ -39,7 +39,6 @@ class Coordinator {
   void on_iteration_end(std::size_t iteration, TimePoint now);
 
   [[nodiscard]] std::size_t reductions_completed(std::size_t key) const;
-  [[nodiscard]] sched::CommScheduler& scheduler() { return *scheduler_; }
 
  private:
   void pump();

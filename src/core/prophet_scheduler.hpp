@@ -120,9 +120,7 @@ class ProphetScheduler final : public sched::CommScheduler {
   // and by pull-side instances that share the push side's profile.
   void set_profile(GradientProfile profile);
 
-  // Bandwidth Algorithm 1 currently plans against (zero until the first
-  // post-profile iteration); drift-triggered refreshes are counted.
-  [[nodiscard]] Bandwidth planning_bandwidth() const { return planning_bandwidth_; }
+  // Drift-triggered refreshes of the bandwidth Algorithm 1 plans against.
   [[nodiscard]] std::size_t replan_count() const { return replans_; }
 
  private:

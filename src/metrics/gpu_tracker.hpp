@@ -23,7 +23,6 @@ class GpuTracker {
   // Closes any open busy interval at `now` for final accounting.
   void finish(TimePoint now);
 
-  [[nodiscard]] Duration total_busy() const { return total_busy_; }
   // Busy fraction over [from, to].
   [[nodiscard]] double utilization(TimePoint from, TimePoint to) const;
   [[nodiscard]] const BinnedSeries& series() const { return series_; }

@@ -51,9 +51,9 @@ struct DynamicsEvent {
   std::optional<std::size_t> ps_shard;
   // Alternative bandwidth/outage target: a named topology link ("rack0.up",
   // "worker1.rx"), a rack name (both spine directions) or a node name (both
-  // access links). Non-empty `link` wins over worker/target_ps; the
-  // worker/PS spellings remain as the back-compat mapping for existing
-  // plans, resolved to the target's access links at arm time.
+  // access links). Non-empty `link` wins over worker/target_ps. Both
+  // spellings resolve to links once, when the plan is armed; a node name and
+  // its worker/PS index reach the same {tx, rx} links.
   std::string link;
   double factor = 1.0;    // scale events
   Bandwidth bandwidth;    // kBandwidthSet payload

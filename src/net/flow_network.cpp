@@ -85,6 +85,11 @@ LinkId FlowNetwork::node_link(NodeId id, Direction dir) const {
   return dir == Direction::kTx ? nodes_[id].tx : nodes_[id].rx;
 }
 
+std::array<LinkId, 2> FlowNetwork::access_links(NodeId id) const {
+  PROPHET_CHECK(id < nodes_.size());
+  return {nodes_[id].tx, nodes_[id].rx};
+}
+
 FlowNetwork::Link& FlowNetwork::link(LinkId id) {
   PROPHET_CHECK(id < links_.size());
   return links_[id];
@@ -93,14 +98,6 @@ FlowNetwork::Link& FlowNetwork::link(LinkId id) {
 const FlowNetwork::Link& FlowNetwork::link(LinkId id) const {
   PROPHET_CHECK(id < links_.size());
   return links_[id];
-}
-
-FlowNetwork::Link& FlowNetwork::access_link(NodeId id, Direction dir) {
-  return link(node_link(id, dir));
-}
-
-const FlowNetwork::Link& FlowNetwork::access_link(NodeId id, Direction dir) const {
-  return link(node_link(id, dir));
 }
 
 std::ptrdiff_t FlowNetwork::find_slot(FlowId id) const {
@@ -132,17 +129,21 @@ void FlowNetwork::set_link_capacity(LinkId id, Bandwidth cap) {
 
 Bandwidth FlowNetwork::link_capacity(LinkId id) const { return link(id).cap; }
 
-void FlowNetwork::set_link_state(LinkId id, bool up) {
-  if (link(id).up == up) return;
+void FlowNetwork::set_link_state(std::span<const LinkId> ids, bool up) {
+  if (std::all_of(ids.begin(), ids.end(),
+                  [&](LinkId id) { return link(id).up == up; })) {
+    return;
+  }
   if (mode_ == RebalanceMode::kFull) {
     advance_to_now();
-    link(id).up = up;
+    for (const LinkId id : ids) link(id).up = up;
     reassign_rates();
     return;
   }
-  link(id).up = up;
-  const LinkId seeds[1] = {id};
-  rebalance_from(seeds, 1);
+  // One rebalance over the union of the links' components (a host's tx and
+  // rx components are usually disjoint — tx carries sends, rx receives).
+  for (const LinkId id : ids) link(id).up = up;
+  rebalance_from(ids.data(), ids.size());
 }
 
 bool FlowNetwork::link_state(LinkId id) const { return link(id).up; }
@@ -176,38 +177,6 @@ Duration FlowNetwork::link_busy_time(LinkId id) {
 
 void FlowNetwork::attach_link_tracker(LinkId id, BinnedSeries* series) {
   link(id).tracker = series;
-}
-
-void FlowNetwork::set_capacity(NodeId id, Direction dir, Bandwidth cap) {
-  PROPHET_CHECK(!cap.is_zero());
-  set_link_capacity(node_link(id, dir), cap);
-}
-
-Bandwidth FlowNetwork::capacity(NodeId id, Direction dir) const {
-  return access_link(id, dir).cap;
-}
-
-void FlowNetwork::set_link_up(NodeId id, bool up) {
-  PROPHET_CHECK(id < nodes_.size());
-  if (links_[nodes_[id].tx].up == up && links_[nodes_[id].rx].up == up) return;
-  if (mode_ == RebalanceMode::kFull) {
-    advance_to_now();
-    links_[nodes_[id].tx].up = up;
-    links_[nodes_[id].rx].up = up;
-    reassign_rates();
-    return;
-  }
-  // Both access links flip at once: one rebalance over the union of their
-  // components (they are usually disjoint — tx carries sends, rx receives).
-  links_[nodes_[id].tx].up = up;
-  links_[nodes_[id].rx].up = up;
-  const LinkId seeds[2] = {nodes_[id].tx, nodes_[id].rx};
-  rebalance_from(seeds, 2);
-}
-
-bool FlowNetwork::link_up(NodeId id) const {
-  PROPHET_CHECK(id < nodes_.size());
-  return links_[nodes_[id].tx].up && links_[nodes_[id].rx].up;
 }
 
 std::uint8_t FlowNetwork::compute_path(
@@ -287,15 +256,7 @@ Bandwidth FlowNetwork::flow_rate(FlowId id) const {
 }
 
 void FlowNetwork::attach_tracker(NodeId id, Direction dir, BinnedSeries* series) {
-  access_link(id, dir).tracker = series;
-}
-
-std::int64_t FlowNetwork::total_bytes(NodeId id, Direction dir) {
-  return link_total_bytes(node_link(id, dir));
-}
-
-Duration FlowNetwork::busy_time(NodeId id, Direction dir) {
-  return link_busy_time(node_link(id, dir));
+  attach_link_tracker(node_link(id, dir), series);
 }
 
 // --- incremental engine -----------------------------------------------------

@@ -52,6 +52,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -147,30 +148,29 @@ class FlowNetwork {
   [[nodiscard]] const std::string& link_name(LinkId id) const;
   [[nodiscard]] std::optional<LinkId> find_link(std::string_view name) const;
   [[nodiscard]] LinkId node_link(NodeId id, Direction dir) const;
+  // A node's two access links, {tx, rx}.
+  [[nodiscard]] std::array<LinkId, 2> access_links(NodeId id) const;
+  // Takes effect immediately; in-flight flows are re-rated. Models the
+  // varying-bandwidth experiments of Sec. 5.3.
   void set_link_capacity(LinkId id, Bandwidth cap);
   [[nodiscard]] Bandwidth link_capacity(LinkId id) const;
   // A down link contributes zero capacity: its draining flows park at rate
   // zero (they stall without losing progress and resume, re-rated, when the
   // link comes back up). link_capacity() keeps reporting the configured rate.
-  void set_link_state(LinkId id, bool up);
+  // All of `ids` flip in one rebalance seeded with all of them (a host's two
+  // access links go down together); setup-phase delays of already-started
+  // flows still elapse while down.
+  void set_link_state(std::span<const LinkId> ids, bool up);
   [[nodiscard]] bool link_state(LinkId id) const;
+  // Bytes moved through the link up to the current simulation time. Not
+  // const: in-flight flows are settled up to now() before reading.
   [[nodiscard]] std::int64_t link_total_bytes(LinkId id);
+  // Cumulative time the link had at least one draining flow, to now().
   [[nodiscard]] Duration link_busy_time(LinkId id);
   void attach_link_tracker(LinkId id, BinnedSeries* series);
 
   // The deterministic link path a flow from `src` to `dst` traverses now.
   [[nodiscard]] std::vector<LinkId> route(NodeId src, NodeId dst) const;
-
-  // --- node-level shims over the access links ------------------------------
-  // Dynamic capacity change (takes effect immediately; in-flight flows are
-  // re-rated). Models the varying-bandwidth experiments of Sec. 5.3.
-  void set_capacity(NodeId id, Direction dir, Bandwidth cap);
-  [[nodiscard]] Bandwidth capacity(NodeId id, Direction dir) const;
-
-  // Fault injection: takes both access links of the node down/up at once.
-  // Setup-phase delays of already-started flows still elapse while down.
-  void set_link_up(NodeId id, bool up);
-  [[nodiscard]] bool link_up(NodeId id) const;
 
   // Starts a flow of `size` bytes from `src` to `dst`. `on_complete` fires
   // (once) when the last byte drains. Zero-size flows complete after setup.
@@ -192,13 +192,9 @@ class FlowNetwork {
   [[nodiscard]] Bandwidth flow_rate(FlowId id) const;
 
   // --- observability ------------------------------------------------------
-  // Optional per-node throughput series (bytes credited as flows drain).
+  // Optional per-node throughput series (bytes credited as flows drain) on
+  // one of the node's access links.
   void attach_tracker(NodeId id, Direction dir, BinnedSeries* series);
-  // Bytes moved through the access link up to the current simulation time.
-  // Not const: in-flight flows are settled up to now() before reading.
-  [[nodiscard]] std::int64_t total_bytes(NodeId id, Direction dir);
-  // Cumulative time the access link had at least one draining flow, to now().
-  [[nodiscard]] Duration busy_time(NodeId id, Direction dir);
   [[nodiscard]] const RebalanceStats& rebalance_stats() const { return stats_; }
   // Live rate groups (see the RateGroup comment below); exposed for tests.
   [[nodiscard]] std::size_t rate_group_count() const { return groups_live_; }
@@ -326,8 +322,6 @@ class FlowNetwork {
   LinkId add_link(std::string name, Bandwidth cap);
   Link& link(LinkId id);
   [[nodiscard]] const Link& link(LinkId id) const;
-  Link& access_link(NodeId id, Direction dir);
-  [[nodiscard]] const Link& access_link(NodeId id, Direction dir) const;
   // Writes the current path into `out`, returns its length.
   std::uint8_t compute_path(NodeId src, NodeId dst,
                             std::array<LinkId, kMaxPathLinks>& out) const;

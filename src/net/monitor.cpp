@@ -9,8 +9,7 @@ BandwidthMonitor::BandwidthMonitor(sim::Simulator& sim, FlowNetwork& network,
                                    BandwidthMonitorConfig config)
     : sim_{sim},
       network_{network},
-      node_{node},
-      dir_{dir},
+      link_{network.node_link(node, dir)},
       config_{config},
       ewma_{config.ewma_alpha} {
   PROPHET_CHECK(config_.sample_period > Duration::zero());
@@ -21,8 +20,8 @@ BandwidthMonitor::BandwidthMonitor(sim::Simulator& sim, FlowNetwork& network,
 BandwidthMonitor::~BandwidthMonitor() { timer_.cancel(); }
 
 void BandwidthMonitor::sample_now() {
-  const auto bytes = static_cast<double>(network_.total_bytes(node_, dir_));
-  const Duration busy = network_.busy_time(node_, dir_);
+  const auto bytes = static_cast<double>(network_.link_total_bytes(link_));
+  const Duration busy = network_.link_busy_time(link_);
   const double delta_bytes = bytes - last_bytes_;
   const Duration delta_busy = busy - last_busy_;
   last_bytes_ = bytes;
@@ -34,7 +33,7 @@ void BandwidthMonitor::sample_now() {
 
 Bandwidth BandwidthMonitor::estimate() const {
   if (ewma_.has_value()) return Bandwidth::bytes_per_sec(ewma_.value());
-  return network_.capacity(node_, dir_);
+  return network_.link_capacity(link_);
 }
 
 }  // namespace prophet::net

@@ -27,7 +27,8 @@ struct BandwidthMonitorConfig {
 
 class BandwidthMonitor {
  public:
-  // Monitors `node`'s `dir` port. Starts its periodic sampling immediately.
+  // Monitors `node`'s `dir` access link. Starts its periodic sampling
+  // immediately.
   BandwidthMonitor(sim::Simulator& sim, FlowNetwork& network, NodeId node,
                    Direction dir, BandwidthMonitorConfig config = {});
   ~BandwidthMonitor();
@@ -48,8 +49,7 @@ class BandwidthMonitor {
  private:
   sim::Simulator& sim_;
   FlowNetwork& network_;
-  NodeId node_;
-  Direction dir_;
+  LinkId link_;
   BandwidthMonitorConfig config_;
   Ewma ewma_;
   double last_bytes_{0.0};

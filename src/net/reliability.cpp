@@ -63,12 +63,10 @@ void ReliableChannel::launch(std::uint64_t id) {
   // the real completion time — congestion only stretches it — so a doomed
   // attempt fails before it can finish no matter how small the transfer is.
   if (rng_.bernoulli(config_.loss_rate)) {
-    const Bandwidth line = std::min(net_.capacity(p.src, Direction::kTx),
-                                    net_.capacity(p.dst, Direction::kRx));
-    // A zero-capacity endpoint means the flow is parked; the watchdog owns
-    // that case, so the (moot) drop just uses the stall window.
-    const Duration ideal =
-        line.is_zero() ? config_.stall_timeout : line.time_to_send(p.attempt_bytes);
+    const Bandwidth line =
+        std::min(net_.link_capacity(net_.node_link(p.src, Direction::kTx)),
+                 net_.link_capacity(net_.node_link(p.dst, Direction::kRx)));
+    const Duration ideal = line.time_to_send(p.attempt_bytes);
     const Duration drop_after =
         std::max(ideal * rng_.next_double(), Duration::nanos(1));
     p.loss_event = sim_.schedule_after(

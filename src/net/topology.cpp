@@ -136,7 +136,6 @@ BuiltTopology::BuiltTopology(FlowNetwork& network, TopologySpec spec)
 NodeId BuiltTopology::add_host(std::string name, Bandwidth bandwidth,
                                std::optional<std::size_t> rack) {
   if (spec_.kind == TopologySpec::Kind::kStar) {
-    ++hosts_added_;
     return network_.add_node(std::move(name), bandwidth, bandwidth);
   }
   std::size_t r;
@@ -155,7 +154,6 @@ NodeId BuiltTopology::add_host(std::string name, Bandwidth bandwidth,
                                         spec_.host_bandwidth);
   network_.assign_rack(node, racks_[r]);
   ++rack_fill_[r];
-  ++hosts_added_;
   return node;
 }
 
@@ -188,12 +186,11 @@ std::vector<LinkId> resolve_link_target(const FlowNetwork& network,
       return out;
     }
   }
-  // "<node>": both access links — the mapping for plans written against the
-  // old per-NIC addressing.
+  // "<node>": both access links, the same {tx, rx} a worker/PS index names.
   for (NodeId n = 0; n < network.node_count(); ++n) {
     if (network.node_name(n) == name) {
-      out.push_back(network.node_link(n, Direction::kTx));
-      out.push_back(network.node_link(n, Direction::kRx));
+      const auto links = network.access_links(n);
+      out.assign(links.begin(), links.end());
       return out;
     }
   }

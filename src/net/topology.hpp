@@ -95,7 +95,6 @@ class BuiltTopology {
 
   [[nodiscard]] const TopologySpec& spec() const { return spec_; }
   [[nodiscard]] const std::vector<RackId>& racks() const { return racks_; }
-  [[nodiscard]] std::size_t hosts_added() const { return hosts_added_; }
   // Total bytes that crossed any rack uplink/downlink so far (spine
   // traffic); zero on a star.
   [[nodiscard]] std::int64_t spine_bytes() const;
@@ -105,13 +104,12 @@ class BuiltTopology {
   TopologySpec spec_;
   std::vector<RackId> racks_;
   std::vector<std::size_t> rack_fill_;
-  std::size_t hosts_added_ = 0;
 };
 
 // Resolves a dynamics link-target name against a built network into concrete
 // links: an exact link name ("rack0.up"), a rack name or "<rack>.uplink"
-// (both directions), or a node name (both access links — the back-compat
-// mapping for plans that used to address NICs). Empty when unknown.
+// (both directions, up then down), or a node name (both access links, tx then
+// rx). Empty when unknown.
 std::vector<LinkId> resolve_link_target(const FlowNetwork& network,
                                         std::string_view name);
 

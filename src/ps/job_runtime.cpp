@@ -27,7 +27,7 @@ JobRuntime::JobRuntime(sim::Simulator& sim, net::FlowNetwork& network,
     const std::string name =
         cfg.ps_shards == 1 ? "ps" : "ps" + std::to_string(s);
     ps_nodes_.push_back(topology.add_host(options_.name_prefix + name,
-                                          node_base_bandwidth(/*is_ps=*/true, 0),
+                                          cfg.topology->ps_bandwidth,
                                           options_.ps_rack));
   }
   for (std::size_t w = 0; w < cfg.num_workers; ++w) {
@@ -93,12 +93,6 @@ JobRuntime::JobRuntime(sim::Simulator& sim, net::FlowNetwork& network,
   }
 }
 
-Bandwidth JobRuntime::node_base_bandwidth(bool is_ps, std::size_t w) const {
-  const net::TopologySpec& spec = *config_.topology;
-  if (is_ps && spec.kind == net::TopologySpec::Kind::kStar) return spec.ps_bandwidth;
-  return config_.bandwidth_of_worker(w);
-}
-
 void JobRuntime::start() {
   // Zero offset starts workers synchronously — no extra scheduled event, so
   // a solo job replays the pre-JobRuntime event sequence exactly.
@@ -111,103 +105,86 @@ void JobRuntime::start() {
   }
 
   // Arm the dynamics plan: every event fires at its offset (relative to the
-  // job's start) and mutates the live network / workers / server. Bandwidth
-  // scales apply to the *configured* rates, so repeated events never
-  // compound; link-targeted events snapshot those rates here, at arm time.
+  // job's start) and mutates the live network / workers / server. Its link
+  // targets resolve here, once. A bandwidth event's capacities are computed
+  // here too, before any event fires, so scales apply to the *configured*
+  // rates and never compound.
+  using Type = net::DynamicsEvent::Type;
   for (const auto& ev : config_.dynamics.events) {
-    if (ev.targets_link()) {
-      for (const net::LinkId id : net::resolve_link_target(network_, ev.link)) {
-        link_base_caps_.emplace(id, network_.link_capacity(id));
+    LinkGroups groups = target_links(ev);
+    LinkCaps caps;
+    if (ev.type == Type::kBandwidthScale || ev.type == Type::kBandwidthSet) {
+      for (const auto& group : groups) {
+        for (const net::LinkId id : group) {
+          caps.emplace_back(id, ev.type == Type::kBandwidthSet
+                                    ? ev.bandwidth
+                                    : network_.link_capacity(id) * ev.factor);
+        }
       }
     }
-    sim_.schedule_at(start_time() + ev.at, [this, ev] { apply_event(ev); });
+    sim_.schedule_at(start_time() + ev.at,
+                     [this, &ev, groups = std::move(groups), caps = std::move(caps)] {
+                       apply_event(ev, groups, caps);
+                     });
   }
 }
 
-void JobRuntime::apply_event(const net::DynamicsEvent& ev) {
+JobRuntime::LinkGroups JobRuntime::target_links(const net::DynamicsEvent& ev) const {
   using Type = net::DynamicsEvent::Type;
-  const ClusterConfig& cfg = config_;
-  // PS-targeted node events fan out to every shard's host, or to the single
-  // shard the event names.
-  auto for_each_ps_node = [&](auto&& fn) {
-    if (ev.ps_shard.has_value()) {
-      fn(ps_nodes_[*ev.ps_shard]);
-    } else {
-      for (const net::NodeId node : ps_nodes_) fn(node);
-    }
-  };
-  auto for_each_node = [&](auto&& fn) {
-    if (ev.target_ps) {
-      for_each_ps_node(fn);
-    } else if (ev.worker.has_value()) {
-      fn(worker_nodes_[*ev.worker]);
-    } else {
-      for (const net::NodeId node : worker_nodes_) fn(node);
-    }
-  };
-  auto for_each_worker = [&](auto&& fn) {
-    if (ev.worker.has_value()) {
-      fn(*ev.worker);
-    } else {
-      for (std::size_t w = 0; w < cfg.num_workers; ++w) fn(w);
-    }
-  };
-  // A link-targeted bandwidth/outage event bypasses the per-node fan-out and
-  // hits the named links directly (they may be shared rack uplinks).
-  if (ev.targets_link()) {
-    const std::vector<net::LinkId> links =
-        net::resolve_link_target(network_, ev.link);
-    PROPHET_CHECK_MSG(!links.empty(),
-                      "dynamics event targets an unknown link name");
-    for (const net::LinkId id : links) {
-      switch (ev.type) {
-        case Type::kBandwidthScale:
-          network_.set_link_capacity(id, link_base_caps_.at(id) * ev.factor);
-          break;
-        case Type::kBandwidthSet:
-          network_.set_link_capacity(id, ev.bandwidth);
-          break;
-        case Type::kOutageStart:
-        case Type::kOutageEnd:
-          network_.set_link_state(id, ev.type == Type::kOutageEnd);
-          break;
-        default:
-          break;  // rejected by DynamicsPlan::validate()
-      }
-    }
-    return;
-  }
+  LinkGroups groups;
   switch (ev.type) {
     case Type::kBandwidthScale:
     case Type::kBandwidthSet:
-      if (ev.target_ps) {
-        const Bandwidth base = node_base_bandwidth(/*is_ps=*/true, 0);
-        const Bandwidth cap =
-            ev.type == Type::kBandwidthSet ? ev.bandwidth : base * ev.factor;
-        for_each_ps_node([&](net::NodeId node) {
-          network_.set_capacity(node, net::Direction::kTx, cap);
-          network_.set_capacity(node, net::Direction::kRx, cap);
-        });
-      } else {
-        for_each_worker([&](std::size_t w) {
-          const Bandwidth base = node_base_bandwidth(/*is_ps=*/false, w);
-          const Bandwidth cap =
-              ev.type == Type::kBandwidthSet ? ev.bandwidth : base * ev.factor;
-          network_.set_capacity(worker_nodes_[w], net::Direction::kTx, cap);
-          network_.set_capacity(worker_nodes_[w], net::Direction::kRx, cap);
-        });
-      }
+    case Type::kOutageStart:
+    case Type::kOutageEnd:
+    case Type::kPsCrash:
+    case Type::kPsRecover:
+      break;
+    default:
+      return groups;
+  }
+  if (ev.targets_link()) {
+    groups.push_back(net::resolve_link_target(network_, ev.link));
+    PROPHET_CHECK_MSG(
+        !groups.back().empty(),
+        ("dynamics event targets an unknown link name '" + ev.link + "'").c_str());
+    return groups;
+  }
+  // One {tx, rx} group per host the event names: the PS shard or worker it
+  // indexes, else every host of its tier. A PS fault acts on the PS tier
+  // whatever its target says, as the server it crashes does.
+  const bool ps = ev.target_ps || ev.type == Type::kPsCrash || ev.type == Type::kPsRecover;
+  const std::vector<net::NodeId>& hosts = ps ? ps_nodes_ : worker_nodes_;
+  const std::optional<std::size_t> one = ps ? ev.ps_shard : ev.worker;
+  for (std::size_t h = 0; h < hosts.size(); ++h) {
+    if (one.has_value() && *one != h) continue;
+    const auto links = network_.access_links(hosts[h]);
+    groups.emplace_back(links.begin(), links.end());
+  }
+  return groups;
+}
+
+void JobRuntime::apply_event(const net::DynamicsEvent& ev, const LinkGroups& groups,
+                             const LinkCaps& caps) {
+  using Type = net::DynamicsEvent::Type;
+  auto set_state = [&](bool up) {
+    for (const auto& group : groups) network_.set_link_state(group, up);
+  };
+  switch (ev.type) {
+    case Type::kBandwidthScale:
+    case Type::kBandwidthSet:
+      for (const auto& [id, cap] : caps) network_.set_link_capacity(id, cap);
       break;
     case Type::kOutageStart:
     case Type::kOutageEnd:
-      for_each_node([&](net::NodeId node) {
-        network_.set_link_up(node, ev.type == Type::kOutageEnd);
-      });
+      set_state(ev.type == Type::kOutageEnd);
       break;
     case Type::kComputeScale:
-      for_each_worker([&](std::size_t w) {
-        workers_[w]->set_compute_factor(ev.factor);
-      });
+      for (std::size_t w = 0; w < workers_.size(); ++w) {
+        if (!ev.worker.has_value() || *ev.worker == w) {
+          workers_[w]->set_compute_factor(ev.factor);
+        }
+      }
       break;
     case Type::kPsComputeScale:
       if (ev.ps_shard.has_value()) {
@@ -228,23 +205,22 @@ void JobRuntime::apply_event(const net::DynamicsEvent& ev) {
         // Single failure domain: only this shard's host drops off the fabric
         // and only its keys stop serving.
         server_->crash_shard(*ev.ps_shard);
-        network_.set_link_up(ps_nodes_[*ev.ps_shard], false);
+        set_state(false);
         for (auto& worker : workers_) worker->on_ps_shard_crash(*ev.ps_shard);
       } else {
         server_->crash();
-        for (const net::NodeId node : ps_nodes_) network_.set_link_up(node, false);
+        set_state(false);
         for (auto& worker : workers_) worker->on_ps_crash();
       }
       break;
     case Type::kPsRecover:
       if (!faults_live_) break;
+      set_state(true);
       if (ev.ps_shard.has_value()) {
-        network_.set_link_up(ps_nodes_[*ev.ps_shard], true);
         const std::vector<std::size_t> snapshot =
             server_->recover_shard(*ev.ps_shard);
         for (auto& worker : workers_) worker->rollback_shard(*ev.ps_shard, snapshot);
       } else {
-        for (const net::NodeId node : ps_nodes_) network_.set_link_up(node, true);
         const std::vector<std::size_t> snapshot = server_->recover();
         for (auto& worker : workers_) worker->rollback(snapshot);
       }

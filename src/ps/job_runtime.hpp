@@ -20,10 +20,10 @@
 // of a plain step-until-done loop.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "audit/bsp_auditor.hpp"
@@ -106,8 +106,18 @@ class JobRuntime {
                                       std::uint64_t events_fired);
 
  private:
-  void apply_event(const net::DynamicsEvent& ev);
-  [[nodiscard]] Bandwidth node_base_bandwidth(bool is_ps, std::size_t w) const;
+  // A dynamics event's link targets: one group per host it names ({tx, rx})
+  // or the links a `link:` name resolves to. Each group flips state in one
+  // rebalance.
+  using LinkGroups = std::vector<std::vector<net::LinkId>>;
+  // The capacity a bandwidth event gives each of its links, in group order.
+  using LinkCaps = std::vector<std::pair<net::LinkId, Bandwidth>>;
+
+  // Resolves a bandwidth, outage or PS-fault event's target (empty for every
+  // other event type); aborts, naming the link, on an unknown `link:` name.
+  [[nodiscard]] LinkGroups target_links(const net::DynamicsEvent& ev) const;
+  void apply_event(const net::DynamicsEvent& ev, const LinkGroups& groups,
+                   const LinkCaps& caps);
 
   sim::Simulator& sim_;
   net::FlowNetwork& network_;
@@ -122,9 +132,6 @@ class JobRuntime {
   std::unique_ptr<audit::BspAuditor> auditor_;
   std::unique_ptr<Server> server_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  // Configured capacities of link-targeted dynamics, snapshotted at arm time
-  // so repeated scale events never compound.
-  std::map<net::LinkId, Bandwidth> link_base_caps_;
   bool faults_live_ = true;
   bool collected_ = false;
   Duration training_span_{};

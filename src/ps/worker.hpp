@@ -127,11 +127,9 @@ class Worker {
   [[nodiscard]] const metrics::GpuTracker& gpu() const { return gpu_; }
   // Result hand-off (JobRuntime::collect moves the GPU timeline out).
   [[nodiscard]] metrics::GpuTracker& gpu() { return gpu_; }
-  [[nodiscard]] const metrics::TransferLog& transfers() const { return transfer_log_; }
   // Result hand-off: moves the transfer log out instead of copying it; the
   // worker's log reads empty afterwards.
   [[nodiscard]] metrics::TransferLog take_transfers() { return std::move(transfer_log_); }
-  [[nodiscard]] const net::BandwidthMonitor& uplink_monitor() const { return *tx_monitor_; }
   // Iteration at which Prophet's profile became active (nullopt: not Prophet
   // or still profiling).
   [[nodiscard]] std::optional<std::size_t> prophet_activated_at() const {

@@ -6,6 +6,8 @@
 
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "allreduce/cluster.hpp"
 #include "cluster/multi_job.hpp"
@@ -41,9 +43,9 @@ TEST(Outage, FlowStallsAndResumesAcrossLinkDowntime) {
     EXPECT_NEAR(sim.now().to_seconds(), 1.5, 1e-6);
   });
   sim.schedule_at(TimePoint::origin() + 250_ms,
-                  [&] { network.set_link_up(a, false); });
+                  [&] { network.set_link_state(network.access_links(a), false); });
   sim.schedule_at(TimePoint::origin() + 750_ms,
-                  [&] { network.set_link_up(a, true); });
+                  [&] { network.set_link_state(network.access_links(a), true); });
   sim.run();
   EXPECT_TRUE(done);
 }
@@ -53,7 +55,7 @@ TEST(Outage, DownLinkStallsBothDirections) {
   net::FlowNetwork network{sim, plain_model()};
   const net::NodeId a = network.add_node("a", Bandwidth::gbps(1), Bandwidth::gbps(1));
   const net::NodeId b = network.add_node("b", Bandwidth::gbps(1), Bandwidth::gbps(1));
-  EXPECT_TRUE(network.link_up(b));
+  for (const net::LinkId l : network.access_links(b)) EXPECT_TRUE(network.link_state(l));
   bool done = false;
   // Flow towards the downed receiver: stalls just the same.
   network.start_flow(a, b, Bytes::of(125'000'000), [&](net::FlowId) {
@@ -61,9 +63,9 @@ TEST(Outage, DownLinkStallsBothDirections) {
     EXPECT_NEAR(sim.now().to_seconds(), 1.2, 1e-6);
   });
   sim.schedule_at(TimePoint::origin() + 500_ms,
-                  [&] { network.set_link_up(b, false); });
+                  [&] { network.set_link_state(network.access_links(b), false); });
   sim.schedule_at(TimePoint::origin() + 700_ms,
-                  [&] { network.set_link_up(b, true); });
+                  [&] { network.set_link_state(network.access_links(b), true); });
   sim.run();
   EXPECT_TRUE(done);
 }
@@ -82,7 +84,8 @@ TEST(Dynamics, MonitorTracksScriptedBandwidthStep) {
   // converge towards the new 62.5 MB/s goodput after the step.
   network.start_flow(a, b, Bytes::of(1'000'000'000), [](net::FlowId) {});
   sim.schedule_at(TimePoint::origin() + 4_s, [&] {
-    network.set_capacity(a, net::Direction::kTx, Bandwidth::gbps(0.5));
+    network.set_link_capacity(network.node_link(a, net::Direction::kTx),
+                              Bandwidth::gbps(0.5));
   });
   sim.run_until(TimePoint::origin() + 4_s);
   const double before = monitor.estimate().bytes_per_second();
@@ -428,6 +431,111 @@ TEST(ClusterDynamics, StaticNetworkYieldsNoReplans) {
   auto cfg = small_config(ps::StrategyConfig::prophet());
   const auto result = run_cluster(cfg, 6);
   for (const auto& w : result.workers) EXPECT_EQ(w.prophet_replans, 0u);
+}
+
+// A worker or PS index and the `link:` name of the same host reach the same
+// links in the same order ({tx, rx}, flipped in one rebalance), so the two
+// spellings replay identically.
+TEST(ClusterDynamics, LinkNameAndIndexTargetsAgree) {
+  const std::string path = ::testing::TempDir() + "/link_outage_trace.csv";
+  {
+    std::ofstream out{path};
+    out << "time_s,event,target,value\n"
+        << "0.1,outage_start,link:worker1,0\n"
+        << "0.4,outage_end,link:worker1,0\n";
+  }
+  std::string error;
+  const auto outage_by_name = net::DynamicsPlan::from_trace_csv(path, &error);
+  ASSERT_TRUE(outage_by_name.has_value()) << error;
+
+  struct Spellings {
+    net::DynamicsPlan by_index;
+    net::DynamicsPlan by_name;
+  };
+  std::vector<Spellings> pairs(3);
+  pairs[0].by_index.outage(100_ms, 300_ms, 1);
+  pairs[0].by_name = *outage_by_name;
+  pairs[1].by_index.bandwidth_scale(100_ms, 1, 0.5);
+  pairs[1].by_name.link_bandwidth_scale(100_ms, "worker1", 0.5);
+  pairs[2].by_index.ps_outage(100_ms, 300_ms);
+  pairs[2].by_name.link_outage(100_ms, 300_ms, "ps");
+
+  for (const auto& strategy :
+       {ps::StrategyConfig::fifo(), ps::StrategyConfig::bytescheduler(),
+        ps::StrategyConfig::prophet()}) {
+    const auto baseline = run_cluster(small_config(strategy), 6);
+    for (std::size_t p = 0; p < pairs.size(); ++p) {
+      SCOPED_TRACE(strategy.name() + " pair " + std::to_string(p));
+      auto index_cfg = small_config(strategy);
+      index_cfg.dynamics = pairs[p].by_index;
+      auto name_cfg = small_config(strategy);
+      name_cfg.dynamics = pairs[p].by_name;
+      const auto by_index = run_cluster(index_cfg, 6);
+      const auto by_name = run_cluster(name_cfg, 6);
+      EXPECT_EQ(by_index.simulated_time.count_nanos(),
+                by_name.simulated_time.count_nanos());
+      EXPECT_EQ(by_index.events_fired, by_name.events_fired);
+      EXPECT_DOUBLE_EQ(by_index.mean_rate(), by_name.mean_rate());
+      // The event reached the fabric at all.
+      EXPECT_NE(by_index.simulated_time.count_nanos(),
+                baseline.simulated_time.count_nanos());
+    }
+  }
+}
+
+// validate() books every ps_crash/ps_recover against the PS whatever its
+// target, so a trace row targeting `*` or a worker index must crash the
+// server and take the PS host's links down, exactly as the builder does.
+TEST(ClusterDynamics, PsFaultTargetsAlwaysReachThePsTier) {
+  auto cfg = small_config(ps::StrategyConfig::bytescheduler());
+  cfg.checkpoint_period = 50_ms;
+  auto built_cfg = cfg;
+  built_cfg.dynamics.ps_crash(120_ms, 80_ms);
+  const auto built = run_cluster(built_cfg, 6);
+  for (const auto& [crash_target, recover_target] :
+       {std::pair{"*", "*"}, std::pair{"*", "ps"}, std::pair{"1", "ps"}}) {
+    SCOPED_TRACE(std::string{crash_target} + " / " + recover_target);
+    const std::string path = ::testing::TempDir() + "/ps_fault_trace.csv";
+    {
+      std::ofstream out{path};
+      out << "time_s,event,target,value\n"
+          << "0.12,ps_crash," << crash_target << ",0\n"
+          << "0.2,ps_recover," << recover_target << ",0\n";
+    }
+    std::string error;
+    auto plan = net::DynamicsPlan::from_trace_csv(path, &error);
+    ASSERT_TRUE(plan.has_value()) << error;
+    auto trace_cfg = cfg;
+    trace_cfg.dynamics = *plan;
+    const auto traced = run_cluster(trace_cfg, 6);
+    EXPECT_EQ(traced.simulated_time.count_nanos(),
+              built.simulated_time.count_nanos());
+    EXPECT_EQ(traced.events_fired, built.events_fired);
+    EXPECT_DOUBLE_EQ(traced.mean_rate(), built.mean_rate());
+  }
+}
+
+TEST(ClusterDynamics, RackOutageStallsCrossRackTraffic) {
+  auto cfg = small_config(ps::StrategyConfig::bytescheduler());
+  cfg.num_workers = 4;
+  cfg.topology = net::TopologySpec::leaf_spine(2, 3, Bandwidth::gbps(1), 2.0);
+  const auto baseline = run_cluster(cfg, 6);
+  // The PS and workers 0-1 sit in rack0, workers 2-3 in rack1: taking both
+  // rack0 spine links down cuts rack1 off the PS, and BSP stalls everyone.
+  cfg.dynamics.link_outage(150_ms, 200_ms, "rack0");
+  const auto faulted = run_cluster(cfg, 6);
+  EXPECT_GT(faulted.simulated_time.count_nanos(),
+            baseline.simulated_time.count_nanos());
+  for (const auto& w : faulted.workers) EXPECT_EQ(w.iterations_completed, 12u);
+}
+
+TEST(ClusterDynamicsDeathTest, UnknownLinkNameFailsBeforeSimulating) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto cfg = small_config(ps::StrategyConfig::fifo());
+  // Far past the end of training: the name must be rejected when the plan
+  // is armed, not when the event would fire.
+  cfg.dynamics.link_outage(10_s, 1_s, "rack9.up");
+  EXPECT_DEATH((void)run_cluster(cfg, 6), "rack9\\.up");
 }
 
 }  // namespace

@@ -252,6 +252,7 @@ void run_churn_with_dynamics(net::RebalanceMode mode) {
   sim::Simulator sim;
   net::FlowNetwork net{sim, net::TcpCostModel{}, mode};
   const auto ps = net.add_node("ps", Bandwidth::gbps(10), Bandwidth::gbps(10));
+  const net::LinkId ps_rx = net.node_link(ps, net::Direction::kRx);
   std::vector<net::NodeId> workers;
   for (int i = 0; i < 4; ++i)
     workers.push_back(net.add_node("w", Bandwidth::gbps(5), Bandwidth::gbps(5)));
@@ -272,19 +273,21 @@ void run_churn_with_dynamics(net::RebalanceMode mode) {
       });
     }
     sim.schedule_after(Duration::millis(1),
-                       [&] { net.set_capacity(ps, net::Direction::kRx, Bandwidth::gbps(8)); });
-    sim.schedule_after(Duration::millis(2), [&] { net.set_link_up(workers[1], false); });
-    sim.schedule_after(Duration::millis(4), [&] { net.set_link_up(workers[1], true); });
+                       [&] { net.set_link_capacity(ps_rx, Bandwidth::gbps(8)); });
+    sim.schedule_after(Duration::millis(2),
+                       [&] { net.set_link_state(net.access_links(workers[1]), false); });
+    sim.schedule_after(Duration::millis(4),
+                       [&] { net.set_link_state(net.access_links(workers[1]), true); });
     sim.run();
-    net.set_capacity(ps, net::Direction::kRx, Bandwidth::gbps(10));
+    net.set_link_capacity(ps_rx, Bandwidth::gbps(10));
   }
   EXPECT_EQ(done, 48);
   // Pre-change values: completion times, event count, PS-ingress byte total
   // and busy time are all unchanged by the slab rewrite.
   EXPECT_EQ(sim.events_fired(), 114u);
   EXPECT_EQ(sim.now().count_nanos(), 83344476);
-  EXPECT_EQ(net.total_bytes(ps, net::Direction::kRx), 62914559);
-  EXPECT_EQ(net.busy_time(ps, net::Direction::kRx).count_nanos(), 66689436);
+  EXPECT_EQ(net.link_total_bytes(ps_rx), 62914559);
+  EXPECT_EQ(net.link_busy_time(ps_rx).count_nanos(), 66689436);
   // Post-change capture (FlowId encoding + same-instant completion tie order
   // are the documented exceptions; see the file comment).
   EXPECT_EQ(h, 11853743091979687350ull);

@@ -141,8 +141,8 @@ TEST(EngineValidation, FlowNetworkRandomStressConservesBytes) {
     std::int64_t tx_total = 0;
     std::int64_t rx_total = 0;
     for (const auto node : nodes) {
-      tx_total += network.total_bytes(node, net::Direction::kTx);
-      rx_total += network.total_bytes(node, net::Direction::kRx);
+      tx_total += network.link_total_bytes(network.node_link(node, net::Direction::kTx));
+      rx_total += network.link_total_bytes(network.node_link(node, net::Direction::kRx));
     }
     // Fluid drain accounting: exact up to sub-byte float residue per flow.
     EXPECT_NEAR(static_cast<double>(tx_total), static_cast<double>(launched_bytes),

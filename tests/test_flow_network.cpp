@@ -138,7 +138,7 @@ TEST(FlowNetwork, DynamicCapacityChangeRerates) {
   // Halve the sender's rate halfway through: 62.5 MB drained by then, the
   // rest drains at 62.5 MB/s -> total 0.5 + 1.0 = 1.5 s.
   f.sim.schedule_after(500_ms, [&] {
-    f.net.set_capacity(a, Direction::kTx, Bandwidth::mbps(500));
+    f.net.set_link_capacity(f.net.node_link(a, Direction::kTx), Bandwidth::mbps(500));
   });
   f.sim.run();
   EXPECT_NEAR(done_s, 1.5, 1e-6);
@@ -152,9 +152,10 @@ TEST(FlowNetwork, TracksBytesAndBusyTime) {
   f.net.attach_tracker(a, Direction::kTx, &tx);
   f.net.start_flow(a, b, Bytes::of(125'000'000), [](FlowId) {});
   f.sim.run();
-  EXPECT_EQ(f.net.total_bytes(a, Direction::kTx), 125'000'000);
-  EXPECT_EQ(f.net.total_bytes(b, Direction::kRx), 125'000'000);
-  EXPECT_NEAR(f.net.busy_time(a, Direction::kTx).to_seconds(), 1.0, 1e-6);
+  const LinkId a_tx = f.net.node_link(a, Direction::kTx);
+  EXPECT_EQ(f.net.link_total_bytes(a_tx), 125'000'000);
+  EXPECT_EQ(f.net.link_total_bytes(f.net.node_link(b, Direction::kRx)), 125'000'000);
+  EXPECT_NEAR(f.net.link_busy_time(a_tx).to_seconds(), 1.0, 1e-6);
   // Throughput series: ~12.5 MB per 100 ms bin while draining.
   EXPECT_NEAR(tx.bin_amount(5), 12'500'000.0, 1.0);
 }
@@ -187,8 +188,9 @@ TEST(FlowNetwork, ManyConcurrentFlowsConserveBytes) {
   }
   f.sim.run();
   EXPECT_EQ(done, 10);
-  EXPECT_EQ(f.net.total_bytes(ps, Direction::kRx), Bytes::mib(35).count());
-  EXPECT_EQ(f.net.total_bytes(ps, Direction::kTx), Bytes::mib(15).count());
+  const auto [ps_tx, ps_rx] = f.net.access_links(ps);
+  EXPECT_EQ(f.net.link_total_bytes(ps_rx), Bytes::mib(35).count());
+  EXPECT_EQ(f.net.link_total_bytes(ps_tx), Bytes::mib(15).count());
 }
 
 

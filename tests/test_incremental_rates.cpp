@@ -15,6 +15,7 @@
 // test_engine_perf_invariants.cpp document this.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -99,16 +100,19 @@ TEST(IncrementalRates, StarChurnWithCapacityDynamics) {
                                    Bandwidth::gbps(1)));
   }
   // Capacity scale/set + a full outage landing mid-churn on several NICs.
-  f.sim.schedule_after(5_ms, [&f, &nodes] {
-    f.net.set_capacity(nodes[0], Direction::kTx, Bandwidth::mbps(250));
+  const LinkId tx0 = f.net.node_link(nodes[0], Direction::kTx);
+  const LinkId rx1 = f.net.node_link(nodes[1], Direction::kRx);
+  const std::array<LinkId, 2> links2 = f.net.access_links(nodes[2]);
+  f.sim.schedule_after(5_ms, [&f, tx0] {
+    f.net.set_link_capacity(tx0, Bandwidth::mbps(250));
   });
-  f.sim.schedule_after(9_ms, [&f, &nodes] {
-    f.net.set_capacity(nodes[1], Direction::kRx, Bandwidth::mbps(120));
+  f.sim.schedule_after(9_ms, [&f, rx1] {
+    f.net.set_link_capacity(rx1, Bandwidth::mbps(120));
   });
-  f.sim.schedule_after(12_ms, [&f, &nodes] { f.net.set_link_up(nodes[2], false); });
-  f.sim.schedule_after(20_ms, [&f, &nodes] { f.net.set_link_up(nodes[2], true); });
-  f.sim.schedule_after(26_ms, [&f, &nodes] {
-    f.net.set_capacity(nodes[0], Direction::kTx, Bandwidth::gbps(1));
+  f.sim.schedule_after(12_ms, [&f, links2] { f.net.set_link_state(links2, false); });
+  f.sim.schedule_after(20_ms, [&f, links2] { f.net.set_link_state(links2, true); });
+  f.sim.schedule_after(26_ms, [&f, tx0] {
+    f.net.set_link_capacity(tx0, Bandwidth::gbps(1));
   });
   const int completed = drive_churn(f, nodes, 0xbeef, 40);
   EXPECT_GT(completed, 0);
@@ -133,8 +137,8 @@ TEST(IncrementalRates, LeafSpineOversubscribedChurn) {
   f.sim.schedule_after(6_ms, [&f, up0] {
     f.net.set_link_capacity(up0, Bandwidth::mbps(300));
   });
-  f.sim.schedule_after(11_ms, [&f, up0] { f.net.set_link_state(up0, false); });
-  f.sim.schedule_after(18_ms, [&f, up0] { f.net.set_link_state(up0, true); });
+  f.sim.schedule_after(11_ms, [&f, up0] { f.net.set_link_state({&up0, 1}, false); });
+  f.sim.schedule_after(18_ms, [&f, up0] { f.net.set_link_state({&up0, 1}, true); });
   f.sim.schedule_after(24_ms, [&f, up0] {
     f.net.set_link_capacity(up0, Bandwidth::mbps(750));
   });
@@ -150,13 +154,15 @@ TEST(IncrementalRates, OutageParksFlowsAtZeroAndVerifies) {
   bool done = false;
   const FlowId id = f.net.start_flow(a, b, Bytes::of(125'000'000),
                                      [&done](FlowId) { done = true; });
-  f.sim.schedule_after(200_ms, [&f, a] { f.net.set_link_up(a, false); });
+  f.sim.schedule_after(200_ms,
+                       [&f, a] { f.net.set_link_state(f.net.access_links(a), false); });
   f.sim.schedule_after(500_ms, [&f, id] {
     // Parked at rate zero: remaining bytes frozen, flow still live.
     EXPECT_TRUE(f.net.flow_active(id));
     EXPECT_EQ(f.net.flow_rate(id).bytes_per_second(), 0.0);
   });
-  f.sim.schedule_after(700_ms, [&f, a] { f.net.set_link_up(a, true); });
+  f.sim.schedule_after(700_ms,
+                       [&f, a] { f.net.set_link_state(f.net.access_links(a), true); });
   f.sim.run();
   EXPECT_TRUE(done);
   // 1 s of draining at line rate + 0.5 s parked.
@@ -179,12 +185,13 @@ TEST(IncrementalRates, CrossModeByteConservation) {
                                      Bandwidth::mbps(900), Bandwidth::mbps(700)));
     }
     f.sim.schedule_after(7_ms, [&f, &nodes] {
-      f.net.set_capacity(nodes[3], Direction::kRx, Bandwidth::mbps(200));
+      f.net.set_link_capacity(f.net.node_link(nodes[3], Direction::kRx),
+                              Bandwidth::mbps(200));
     });
     completed[m] = drive_churn(f, nodes, 0x5eed, 45);
     for (const NodeId n : nodes) {
-      totals[m].push_back(f.net.total_bytes(n, Direction::kTx));
-      totals[m].push_back(f.net.total_bytes(n, Direction::kRx));
+      totals[m].push_back(f.net.link_total_bytes(f.net.node_link(n, Direction::kTx)));
+      totals[m].push_back(f.net.link_total_bytes(f.net.node_link(n, Direction::kRx)));
     }
   }
   EXPECT_EQ(completed[0], completed[1]);
@@ -349,17 +356,19 @@ TEST(RateGroups, MidIncastBottleneckDynamicsVerified) {
     f.net.start_flow(w, ps, Bytes::of(16'000'000),
                      [&completed](FlowId) { ++completed; });
   }
-  f.sim.schedule_after(100_ms, [&f, ps] {
-    f.net.set_capacity(ps, Direction::kRx, Bandwidth::mbps(400));
+  const LinkId ps_rx = f.net.node_link(ps, Direction::kRx);
+  f.sim.schedule_after(100_ms, [&f, ps_rx] {
+    f.net.set_link_capacity(ps_rx, Bandwidth::mbps(400));
   });
-  f.sim.schedule_after(250_ms, [&f, ps] {
-    f.net.set_capacity(ps, Direction::kRx, Bandwidth::gbps(1));
+  f.sim.schedule_after(250_ms, [&f, ps_rx] {
+    f.net.set_link_capacity(ps_rx, Bandwidth::gbps(1));
   });
-  f.sim.schedule_after(400_ms, [&f, ps] { f.net.set_link_up(ps, false); });
+  f.sim.schedule_after(400_ms,
+                       [&f, ps] { f.net.set_link_state(f.net.access_links(ps), false); });
   f.sim.schedule_after(550_ms, [&f, ps] {
     // Parked: the outage dissolved the group and froze every flow at zero.
     EXPECT_EQ(f.net.rate_group_count(), 0u);
-    f.net.set_link_up(ps, true);
+    f.net.set_link_state(f.net.access_links(ps), true);
   });
   f.sim.run();
   EXPECT_EQ(completed, 12);

@@ -153,9 +153,9 @@ TEST(Reliability, WatchdogRecoversFlowParkedBehindOutage) {
   // Take the destination link down immediately and bring it back later: the
   // parked flow makes no progress, the watchdog declares it lost, and a
   // retry after the outage delivers.
-  f.net.set_link_up(f.b, false);
+  f.net.set_link_state(f.net.access_links(f.b), false);
   f.sim.schedule_at(TimePoint::origin() + Duration::millis(300),
-                    [&] { f.net.set_link_up(f.b, true); });
+                    [&] { f.net.set_link_state(f.net.access_links(f.b), true); });
   f.sim.run();
   EXPECT_TRUE(done);
   EXPECT_GE(timeouts, 1u);

@@ -1,16 +1,7 @@
-// One-shot capture of pre-optimization engine outputs. Compiled ad hoc
-// against the current build to produce the reference constants baked into
-// tests/test_engine_perf_invariants.cpp. Not part of the build; from the repo
-// root, after `cmake --build build`:
-//
-//   g++ -std=c++20 -O2 -Isrc tools/golden_capture.cpp \
-//       build/src/allreduce/libprophet_allreduce.a \
-//       build/src/cluster/libprophet_cluster.a build/src/ps/libprophet_ps.a \
-//       build/src/core/libprophet_core.a build/src/sched/libprophet_sched.a \
-//       build/src/metrics/libprophet_metrics.a build/src/dnn/libprophet_dnn.a \
-//       build/src/net/libprophet_net.a build/src/audit/libprophet_audit.a \
-//       build/src/sim/libprophet_sim.a build/src/common/libprophet_common.a \
-//       -o golden_capture && ./golden_capture
+// One-shot capture of pre-optimization engine outputs: prints the reference
+// constants baked into tests/test_engine_perf_invariants.cpp. Built with the
+// tree (not a test); from the repo root, after `cmake --build build`:
+//   ./build/tools/golden_capture
 #include <cstdint>
 #include <cstdio>
 #include <vector>
@@ -186,6 +177,7 @@ void capture_flows() {
   sim::Simulator sim;
   net::FlowNetwork net{sim, net::TcpCostModel{}};
   const auto ps = net.add_node("ps", Bandwidth::gbps(10), Bandwidth::gbps(10));
+  const net::LinkId ps_rx = net.node_link(ps, net::Direction::kRx);
   std::vector<net::NodeId> workers;
   for (int i = 0; i < 4; ++i)
     workers.push_back(net.add_node("w", Bandwidth::gbps(5), Bandwidth::gbps(5)));
@@ -206,17 +198,19 @@ void capture_flows() {
       });
     }
     sim.schedule_after(Duration::millis(1),
-                       [&] { net.set_capacity(ps, net::Direction::kRx, Bandwidth::gbps(8)); });
-    sim.schedule_after(Duration::millis(2), [&] { net.set_link_up(workers[1], false); });
-    sim.schedule_after(Duration::millis(4), [&] { net.set_link_up(workers[1], true); });
+                       [&] { net.set_link_capacity(ps_rx, Bandwidth::gbps(8)); });
+    sim.schedule_after(Duration::millis(2),
+                       [&] { net.set_link_state(net.access_links(workers[1]), false); });
+    sim.schedule_after(Duration::millis(4),
+                       [&] { net.set_link_state(net.access_links(workers[1]), true); });
     sim.run();
-    net.set_capacity(ps, net::Direction::kRx, Bandwidth::gbps(10));
+    net.set_link_capacity(ps_rx, Bandwidth::gbps(10));
   }
   std::printf("flows done=%d hash=%lluull fired=%llu now=%lld tb=%lld busy=%lld\n", done,
               (unsigned long long)h, (unsigned long long)sim.events_fired(),
               (long long)sim.now().count_nanos(),
-              (long long)net.total_bytes(ps, net::Direction::kRx),
-              (long long)net.busy_time(ps, net::Direction::kRx).count_nanos());
+              (long long)net.link_total_bytes(ps_rx),
+              (long long)net.link_busy_time(ps_rx).count_nanos());
 }
 
 void capture_cluster(const char* name, const ps::StrategyConfig& strategy) {
