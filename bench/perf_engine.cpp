@@ -3,11 +3,8 @@
 // plus a full simulated cluster iteration, and writes BENCH_engine.json so
 // the repo's perf trajectory is machine-tracked PR over PR.
 //
-// The `baseline_pre_pool` section holds the numbers measured on this
-// machine at the pre-optimization commit (shared_ptr-pair event records,
-// copy-everything local search, unordered_map flow table); `speedup` is
-// current/baseline. Run with --smoke for a fast CI pass (fewer reps,
-// separate output file so the tracked artifact is only updated by full runs).
+// Run with --smoke for a fast CI pass (fewer reps, separate output file so
+// the tracked artifact is only updated by full runs).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -29,22 +26,6 @@
 
 namespace prophet::bench {
 namespace {
-
-// Pre-optimization reference (RelWithDebInfo, this container, commit 92aa530).
-// Regenerate by checking out that commit and running this harness, then
-// copying the `engine` section here.
-struct Baseline {
-  double dispatch_events_per_sec;
-  double refine_moves_per_sec;
-  double flow_flows_per_sec;
-  double cluster_iters_per_sec;
-};
-constexpr Baseline kBaseline{
-    1.685e+06,  // dispatch_events_per_sec
-    1.056e+05,  // refine_moves_per_sec
-    5.378e+05,  // flow_flows_per_sec
-    8.933e+02,  // cluster_iters_per_sec
-};
 
 double now_ms() {
   return std::chrono::duration<double, std::milli>(
@@ -230,30 +211,6 @@ int run(int argc, char** argv) {
   json.set("engine", "cluster_wall_ms", cluster.wall_ms);
   json.set("engine", "cluster_iters_per_sec", cluster.iters_per_sec);
   json.set("engine", "cluster_events_per_sec", cluster.events_per_sec);
-
-  json.set("baseline_pre_pool", "dispatch_events_per_sec",
-           kBaseline.dispatch_events_per_sec);
-  json.set("baseline_pre_pool", "refine_moves_per_sec", kBaseline.refine_moves_per_sec);
-  json.set("baseline_pre_pool", "flow_flows_per_sec", kBaseline.flow_flows_per_sec);
-  json.set("baseline_pre_pool", "cluster_iters_per_sec",
-           kBaseline.cluster_iters_per_sec);
-
-  // Smoke runs use shrunk workloads whose throughput is not comparable to
-  // the recorded full-size baseline; only full runs publish speedups.
-  if (!smoke) {
-    json.set("speedup", "dispatch",
-             dispatch.events_per_sec / kBaseline.dispatch_events_per_sec);
-    json.set("speedup", "refine", refine.moves_per_sec / kBaseline.refine_moves_per_sec);
-    json.set("speedup", "flow", flows.flows_per_sec / kBaseline.flow_flows_per_sec);
-    json.set("speedup", "cluster",
-             cluster.iters_per_sec / kBaseline.cluster_iters_per_sec);
-    std::printf("\nspeedup vs pre-optimization baseline: dispatch %.2fx, refine "
-                "%.2fx, flow %.2fx, cluster %.2fx\n",
-                dispatch.events_per_sec / kBaseline.dispatch_events_per_sec,
-                refine.moves_per_sec / kBaseline.refine_moves_per_sec,
-                flows.flows_per_sec / kBaseline.flow_flows_per_sec,
-                cluster.iters_per_sec / kBaseline.cluster_iters_per_sec);
-  }
   json.save();
   std::printf("wrote %s\n", out_path.c_str());
   return 0;

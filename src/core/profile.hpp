@@ -47,7 +47,6 @@ class TrainingJobProfiler {
   // then discards it instead of asserting completeness. No-op when closed.
   void invalidate_iteration();
 
-  [[nodiscard]] std::size_t iterations_recorded() const { return iterations_; }
   [[nodiscard]] bool complete() const { return iterations_ >= target_; }
 
   // Averaged profile over everything recorded so far. Requires at least one

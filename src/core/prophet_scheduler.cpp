@@ -8,6 +8,21 @@
 
 namespace prophet::core {
 
+namespace {
+// Under a dynamic network the drain-phase cap tightens with monitored
+// *instability*: each iteration the drift between the live bandwidth
+// estimate and the planning snapshot feeds a peak-hold signal (drift beyond
+// kInstabilityDeadband, decaying by kInstabilityDecay per iteration), and
+// groups shrink by 1 / (1 + kInstabilityGain * instability). An in-flight
+// group on an unstable link then delays a newly urgent tensor briefly even
+// mid-dip, while a stable network (drift inside the dead-band — monitor
+// jitter) keeps full forward_group_max amortization, leaving static
+// behaviour unchanged.
+constexpr double kInstabilityDeadband = 0.02;
+constexpr double kInstabilityGain = 60.0;
+constexpr double kInstabilityDecay = 0.95;
+}  // namespace
+
 ProphetScheduler::ProphetScheduler(sched::TaskKind kind, std::size_t gradient_count,
                                    BandwidthFn bandwidth_fn, net::TcpCostModel cost,
                                    ProphetConfig config)
@@ -132,8 +147,8 @@ void ProphetScheduler::maybe_replan() {
   // Drift beyond the dead-band feeds the peak-hold instability signal that
   // sizes the drain groups; measured *before* the snapshot refresh, so a
   // re-plan clears the drift but the instability decays gradually.
-  instability_ = std::max(std::max(0.0, drift - config_.instability_deadband),
-                          instability_ * config_.instability_decay);
+  instability_ = std::max(std::max(0.0, drift - kInstabilityDeadband),
+                          instability_ * kInstabilityDecay);
   if (drift > config_.replan_drift) {
     planning_bandwidth_ = live;
     ++replans_;
@@ -147,10 +162,8 @@ Bandwidth ProphetScheduler::plan_bandwidth_now() const {
 }
 
 Bytes ProphetScheduler::drain_group_bytes() const {
-  if (!config_.adaptive_drain_groups || instability_ <= 0.0) {
-    return config_.forward_group_max;
-  }
-  const double scale = 1.0 / (1.0 + config_.instability_gain * instability_);
+  if (instability_ <= 0.0) return config_.forward_group_max;
+  const double scale = 1.0 / (1.0 + kInstabilityGain * instability_);
   // Floor at a quarter of the full cap (and never below a partition): the
   // point is preemption granularity, not giving up amortization entirely.
   const Bytes floor = std::max(config_.partition_bytes,

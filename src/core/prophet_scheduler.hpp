@@ -55,22 +55,9 @@ struct ProphetConfig {
   // Block cap outside the backward race: pull-side groups and the
   // forward-phase drain both wrap ready tensors, most urgent first, into
   // blocks of at most this many bytes (bounds the preemption delay a
-  // late-arriving urgent tensor can suffer).
+  // late-arriving urgent tensor can suffer). Under a dynamic network the
+  // drain-phase cap shrinks with monitored instability (prophet_scheduler.cpp).
   Bytes forward_group_max = Bytes::mib(8);
-  // Under a dynamic network the drain-phase cap tightens with monitored
-  // *instability*: each iteration the drift between the live bandwidth
-  // estimate and the planning snapshot feeds a peak-hold signal (drift
-  // beyond instability_deadband, decaying by instability_decay per
-  // iteration), and groups shrink by 1 / (1 + instability_gain *
-  // instability). An in-flight group on an unstable link then delays a newly
-  // urgent tensor briefly even mid-dip, while a stable network (drift inside
-  // the dead-band — monitor jitter) keeps full forward_group_max
-  // amortization, leaving static behaviour unchanged. False pins the cap at
-  // forward_group_max regardless (ablation knob).
-  bool adaptive_drain_groups = true;
-  double instability_deadband = 0.02;
-  double instability_gain = 60.0;
-  double instability_decay = 0.95;
   // Ablation knob: when non-zero, Algorithm 1 uses this fixed bandwidth
   // instead of the live Network Bandwidth Monitor estimate (what Prophet
   // degenerates to without its monitor component).

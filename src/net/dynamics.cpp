@@ -49,27 +49,6 @@ void set_error(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
 }
 
-}  // namespace
-
-const char* DynamicsEvent::type_name(Type t) {
-  switch (t) {
-    case Type::kBandwidthScale: return "bandwidth_scale";
-    case Type::kBandwidthSet: return "bandwidth_set";
-    case Type::kOutageStart: return "outage_start";
-    case Type::kOutageEnd: return "outage_end";
-    case Type::kComputeScale: return "compute_scale";
-    case Type::kPsComputeScale: return "ps_compute_scale";
-    case Type::kWorkerCrash: return "worker_crash";
-    case Type::kWorkerRecover: return "worker_recover";
-    case Type::kPsCrash: return "ps_crash";
-    case Type::kPsRecover: return "ps_recover";
-    case Type::kLossRate: return "loss_rate";
-  }
-  return "?";
-}
-
-namespace {
-
 DynamicsEvent event_at(Duration at, DynamicsEvent::Type type) {
   DynamicsEvent ev;
   ev.at = at;
@@ -89,16 +68,6 @@ DynamicsPlan& DynamicsPlan::bandwidth_scale(Duration at,
   return *this;
 }
 
-DynamicsPlan& DynamicsPlan::bandwidth_set(Duration at,
-                                          std::optional<std::size_t> worker,
-                                          Bandwidth bw) {
-  DynamicsEvent ev = event_at(at, DynamicsEvent::Type::kBandwidthSet);
-  ev.worker = worker;
-  ev.bandwidth = bw;
-  events.push_back(ev);
-  return *this;
-}
-
 DynamicsPlan& DynamicsPlan::ps_bandwidth_scale(Duration at, double factor) {
   DynamicsEvent ev = event_at(at, DynamicsEvent::Type::kBandwidthScale);
   ev.target_ps = true;
@@ -112,15 +81,6 @@ DynamicsPlan& DynamicsPlan::link_bandwidth_scale(Duration at, std::string link,
   DynamicsEvent ev = event_at(at, DynamicsEvent::Type::kBandwidthScale);
   ev.link = std::move(link);
   ev.factor = factor;
-  events.push_back(ev);
-  return *this;
-}
-
-DynamicsPlan& DynamicsPlan::link_bandwidth_set(Duration at, std::string link,
-                                               Bandwidth bw) {
-  DynamicsEvent ev = event_at(at, DynamicsEvent::Type::kBandwidthSet);
-  ev.link = std::move(link);
-  ev.bandwidth = bw;
   events.push_back(ev);
   return *this;
 }
@@ -213,15 +173,6 @@ DynamicsPlan& DynamicsPlan::ps_shard_crash(Duration at, Duration failover,
   recover.target_ps = true;
   recover.ps_shard = shard;
   events.push_back(recover);
-  return *this;
-}
-
-DynamicsPlan& DynamicsPlan::ps_shard_degrade(Duration at, double factor,
-                                             std::size_t shard) {
-  DynamicsEvent ev = event_at(at, DynamicsEvent::Type::kPsComputeScale);
-  ev.factor = factor;
-  ev.ps_shard = shard;
-  events.push_back(ev);
   return *this;
 }
 
@@ -510,8 +461,6 @@ void DynamicsPlan::sort() {
 
 void DynamicsPlan::validate(std::size_t num_workers, std::size_t ps_shards) const {
   using Type = DynamicsEvent::Type;
-  // Outage bookkeeping per exact target (worker index, all-workers, or PS).
-  std::map<std::string, bool> link_down;
   // Crash bookkeeping per node ("ps", "ps:K" for one PS shard, or a worker
   // index).
   std::map<std::string, bool> node_down;
@@ -528,6 +477,11 @@ void DynamicsPlan::validate(std::size_t num_workers, std::size_t ps_shards) cons
       PROPHET_CHECK_MSG(*ev.worker < num_workers,
                         "dynamics event targets a worker index >= num_workers");
     }
+    // A compute_scale event carries no worker index once aimed at the PS, so
+    // it would slow every worker instead.
+    PROPHET_CHECK_MSG(ev.type != Type::kComputeScale || !ev.target_ps,
+                      "dynamics compute_scale targets workers (an index or *); "
+                      "slow the PS tier with ps_compute_scale");
     if (ev.ps_shard.has_value()) {
       PROPHET_CHECK_MSG(ev.target_ps || ev.type == Type::kPsComputeScale,
                         "dynamics ps_shard set on an event that does not "
@@ -551,26 +505,11 @@ void DynamicsPlan::validate(std::size_t num_workers, std::size_t ps_shards) cons
         break;
       case Type::kBandwidthSet:
         PROPHET_CHECK_MSG(!ev.bandwidth.is_zero(),
-                          "dynamics bandwidth_set needs a positive bandwidth");
+                          "dynamics bandwidth_gbps needs a positive bandwidth");
         break;
       case Type::kOutageStart:
-      case Type::kOutageEnd: {
-        const std::string key =
-            ev.targets_link()
-                ? "link:" + ev.link
-                : (ev.target_ps
-                       ? "ps"
-                       : (ev.worker.has_value() ? std::to_string(*ev.worker) : "*"));
-        bool& down = link_down[key];
-        if (ev.type == Type::kOutageStart) {
-          PROPHET_CHECK_MSG(!down, "dynamics outage_start while the link is already down");
-          down = true;
-        } else {
-          PROPHET_CHECK_MSG(down, "dynamics outage_end without a matching outage_start");
-          down = false;
-        }
+      case Type::kOutageEnd:
         break;
-      }
       case Type::kWorkerCrash:
       case Type::kWorkerRecover: {
         PROPHET_CHECK_MSG(!ev.target_ps && ev.worker.has_value(),
@@ -619,9 +558,6 @@ void DynamicsPlan::validate(std::size_t num_workers, std::size_t ps_shards) cons
                           "dynamics loss_rate must be in [0, 1)");
         break;
     }
-  }
-  for (const auto& [key, down] : link_down) {
-    PROPHET_CHECK_MSG(!down, "dynamics outage_start without a matching outage_end");
   }
   for (const auto& [key, down] : node_down) {
     PROPHET_CHECK_MSG(!down, "dynamics crash without a matching recover");

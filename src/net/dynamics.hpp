@@ -59,8 +59,6 @@ struct DynamicsEvent {
   Bandwidth bandwidth;    // kBandwidthSet payload
 
   [[nodiscard]] bool targets_link() const { return !link.empty(); }
-
-  [[nodiscard]] static const char* type_name(Type t);
 };
 
 struct DynamicsPlan {
@@ -73,14 +71,11 @@ struct DynamicsPlan {
   // chronological order (validate() rejects unsorted plans).
   DynamicsPlan& bandwidth_scale(Duration at, std::optional<std::size_t> worker,
                                 double factor);
-  DynamicsPlan& bandwidth_set(Duration at, std::optional<std::size_t> worker,
-                              Bandwidth bw);
   DynamicsPlan& ps_bandwidth_scale(Duration at, double factor);
   // Link-targeted variants: `link` names a topology link, rack or node (see
   // DynamicsEvent::link). Resolution happens when the plan is armed against
   // a built network, so plans stay plain data.
   DynamicsPlan& link_bandwidth_scale(Duration at, std::string link, double factor);
-  DynamicsPlan& link_bandwidth_set(Duration at, std::string link, Bandwidth bw);
   DynamicsPlan& link_outage(Duration at, Duration duration, std::string link);
   // Appends the outage start *and* its end at `at + duration`.
   DynamicsPlan& outage(Duration at, Duration duration,
@@ -93,11 +88,10 @@ struct DynamicsPlan {
   // BSP state); PS crashes roll every worker back to the last checkpoint.
   DynamicsPlan& worker_crash(Duration at, Duration downtime, std::size_t worker);
   DynamicsPlan& ps_crash(Duration at, Duration failover);
-  // Per-shard variants for sharded PS tiers: the crash/recover pair (and the
-  // CPU degrade) carry `ps_shard`, so only that shard's keys roll back while
-  // the surviving shards keep serving.
+  // Per-shard variant for sharded PS tiers: the crash/recover pair carries
+  // `ps_shard`, so only that shard's keys roll back while the surviving
+  // shards keep serving.
   DynamicsPlan& ps_shard_crash(Duration at, Duration failover, std::size_t shard);
-  DynamicsPlan& ps_shard_degrade(Duration at, double factor, std::size_t shard);
   // Transport loss probability from `at` onward (factor carries the rate;
   // 0 turns injection back off).
   DynamicsPlan& loss_rate(Duration at, double rate);
@@ -152,13 +146,16 @@ struct DynamicsPlan {
 
   // Aborts with a clear message on a malformed plan: unsorted or negative
   // event times, out-of-range worker indices, non-positive scale factors or
-  // bandwidths, unbalanced outage start/end pairs, crash events that overlap
-  // an active crash of the same node (or recoveries without a crash), worker
-  // crashes without a concrete worker index, loss rates outside [0, 1), or
-  // link targets on event types other than bandwidth/outage. `ps_shards`
-  // bounds per-shard PS targets; whole-PS and per-shard crash windows of the
-  // same tier may not overlap (a whole-tier rollback has no well-defined
-  // arithmetic while one shard is already mid-failover).
+  // bandwidths, compute_scale events aimed at the PS tier, crash events that
+  // overlap an active crash of the same node (or recoveries without a
+  // crash), worker crashes without a concrete worker index, loss rates
+  // outside [0, 1), or link targets on event types other than
+  // bandwidth/outage. `ps_shards` bounds per-shard PS targets; whole-PS and
+  // per-shard crash windows of the same tier may not overlap (a whole-tier
+  // rollback has no well-defined arithmetic while one shard is already
+  // mid-failover). Outage start/end pairs are not checked here: different
+  // spellings (`*`, an index, `ps`, `link:NAME`) can name the same links, so
+  // ps::JobRuntime::start() pairs them per link once the targets resolve.
   void validate(std::size_t num_workers, std::size_t ps_shards = 1) const;
 
   // True if any event is a crash/recover of the given flavor (the cluster

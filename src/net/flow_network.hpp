@@ -117,7 +117,6 @@ class FlowNetwork {
   FlowNetwork(const FlowNetwork&) = delete;
   FlowNetwork& operator=(const FlowNetwork&) = delete;
 
-  [[nodiscard]] RebalanceMode rebalance_mode() const { return mode_; }
   // When enabled (tests), every incremental rebalance is followed by a full
   // progressive-filling recompute over the whole network and each draining
   // flow's rate is checked bit-identical against it; aborts on divergence.

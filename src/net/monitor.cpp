@@ -4,16 +4,22 @@
 
 namespace prophet::net {
 
+namespace {
+// EWMA weight of the newest sample.
+constexpr double kEwmaAlpha = 0.3;
+// Samples with less busy time than this are discarded as noise.
+constexpr Duration kMinBusyTime = Duration::millis(5);
+}  // namespace
+
 BandwidthMonitor::BandwidthMonitor(sim::Simulator& sim, FlowNetwork& network,
                                    NodeId node, Direction dir,
                                    BandwidthMonitorConfig config)
     : sim_{sim},
       network_{network},
       link_{network.node_link(node, dir)},
-      config_{config},
-      ewma_{config.ewma_alpha} {
-  PROPHET_CHECK(config_.sample_period > Duration::zero());
-  timer_ = sim_.schedule_periodic(config_.sample_period,
+      ewma_{kEwmaAlpha} {
+  PROPHET_CHECK(config.sample_period > Duration::zero());
+  timer_ = sim_.schedule_periodic(config.sample_period,
                                   [this](TimePoint) { sample_now(); });
 }
 
@@ -27,7 +33,7 @@ void BandwidthMonitor::sample_now() {
   last_bytes_ = bytes;
   last_busy_ = busy;
   ++samples_;
-  if (delta_busy < config_.min_busy_time || delta_bytes <= 0.0) return;
+  if (delta_busy < kMinBusyTime || delta_bytes <= 0.0) return;
   ewma_.add(delta_bytes / delta_busy.to_seconds());
 }
 

@@ -20,9 +20,6 @@ namespace prophet::net {
 
 struct BandwidthMonitorConfig {
   Duration sample_period = Duration::seconds(5);
-  double ewma_alpha = 0.3;
-  // Samples with less busy time than this are discarded as noise.
-  Duration min_busy_time = Duration::millis(5);
 };
 
 class BandwidthMonitor {
@@ -50,7 +47,6 @@ class BandwidthMonitor {
   sim::Simulator& sim_;
   FlowNetwork& network_;
   LinkId link_;
-  BandwidthMonitorConfig config_;
   Ewma ewma_;
   double last_bytes_{0.0};
   Duration last_busy_{};

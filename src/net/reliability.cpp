@@ -7,15 +7,20 @@
 
 namespace prophet::net {
 
+namespace {
+// Backoff before the first retry; each further retry doubles it up to
+// backoff_cap.
+constexpr Duration kFirstBackoff = Duration::millis(2);
+}  // namespace
+
 void ReliabilityConfig::validate() const {
   PROPHET_CHECK_MSG(loss_rate >= 0.0 && loss_rate < 1.0,
                     "ReliabilityConfig: loss_rate must be in [0, 1)");
   PROPHET_CHECK_MSG(stall_timeout > Duration::zero(),
                     "ReliabilityConfig: stall_timeout must be > 0");
-  PROPHET_CHECK_MSG(backoff_base > Duration::zero(),
-                    "ReliabilityConfig: backoff_base must be > 0");
-  PROPHET_CHECK_MSG(backoff_cap >= backoff_base,
-                    "ReliabilityConfig: backoff_cap must be >= backoff_base");
+  PROPHET_CHECK_MSG(backoff_cap >= kFirstBackoff,
+                    "ReliabilityConfig: backoff_cap must be >= the 2 ms first "
+                    "backoff");
   PROPHET_CHECK_MSG(backoff_jitter >= 0.0 && backoff_jitter <= 1.0,
                     "ReliabilityConfig: backoff_jitter must be in [0, 1]");
   PROPHET_CHECK_MSG(!enabled() || retry_budget >= 1,
@@ -97,7 +102,7 @@ void ReliableChannel::cancel_timers(Pending& p) {
 }
 
 Duration ReliableChannel::backoff_for(std::size_t failed_attempts) {
-  Duration backoff = config_.backoff_base;
+  Duration backoff = kFirstBackoff;
   for (std::size_t i = 1; i < failed_attempts && backoff < config_.backoff_cap;
        ++i) {
     backoff = backoff * std::int64_t{2};

@@ -35,8 +35,8 @@ struct ReliabilityConfig {
   // flows parked behind a link outage). Long transfers keep resetting the
   // watchdog as bytes drain, so the timeout does not bound transfer size.
   Duration stall_timeout = Duration::millis(200);
-  // Exponential backoff before retry n: base * 2^(n-1), capped.
-  Duration backoff_base = Duration::millis(2);
+  // Exponential backoff before retry n: 2 ms * 2^(n-1), capped at
+  // backoff_cap.
   Duration backoff_cap = Duration::millis(200);
   // Fraction of the backoff subtracted uniformly at random (decorrelates
   // retry storms after a shared fault).

@@ -86,7 +86,6 @@ class JobRuntime {
   [[nodiscard]] TimePoint start_time() const {
     return TimePoint::origin() + options_.start_offset;
   }
-  [[nodiscard]] Duration training_span() const { return training_span_; }
   [[nodiscard]] const ClusterConfig& config() const { return config_; }
   // First PS host (the whole tier when ps_shards == 1).
   [[nodiscard]] net::NodeId ps_node() const { return ps_nodes_.front(); }

@@ -59,7 +59,6 @@ class Server {
   // shard, or on one shard of a sharded tier.
   void set_cpu_factor(double factor);
   void set_shard_cpu_factor(std::size_t shard, double factor);
-  [[nodiscard]] double cpu_factor() const { return shards_[0].cpu_factor; }
 
   // --- crash / checkpoint failover (BSP only) ------------------------------
   // Optional passive invariant checker; never perturbs the timeline.

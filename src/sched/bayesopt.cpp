@@ -9,8 +9,19 @@ namespace prophet::sched {
 
 namespace {
 
-double rbf(double a, double b, double length_scale) {
-  const double d = (a - b) / length_scale;
+// RBF kernel length scale, in normalized [0, 1] input space.
+constexpr double kLengthScale = 0.2;
+// Observation noise standard deviation, relative to observed value spread.
+constexpr double kNoise = 0.05;
+// UCB exploration weight: acquisition = mu + kKappa * sigma.
+constexpr double kKappa = 2.0;
+// Acquisition is maximized over this many grid points.
+constexpr std::size_t kGridPoints = 64;
+// Number of initial space-filling probes before the GP takes over.
+constexpr std::size_t kInitialProbes = 3;
+
+double rbf(double a, double b) {
+  const double d = (a - b) / kLengthScale;
   return std::exp(-0.5 * d * d);
 }
 
@@ -53,10 +64,8 @@ void solve_upper(const std::vector<double>& l, std::size_t n, std::vector<double
 
 }  // namespace
 
-BayesOpt1D::BayesOpt1D(double lo, double hi, BayesOptParams params)
-    : lo_{lo}, hi_{hi}, params_{params} {
+BayesOpt1D::BayesOpt1D(double lo, double hi) : lo_{lo}, hi_{hi} {
   PROPHET_CHECK(hi > lo);
-  PROPHET_CHECK(params_.grid_points >= 2);
 }
 
 void BayesOpt1D::observe(double x, double y) {
@@ -87,13 +96,12 @@ BayesOpt1D::Posterior BayesOpt1D::posterior(double t) const {
   double y_spread = 1e-9;
   for (double y : ys_) y_spread = std::max(y_spread, std::abs(y - y_mean));
 
-  const double noise_var =
-      (params_.noise * y_spread) * (params_.noise * y_spread) + 1e-10;
+  const double noise_var = (kNoise * y_spread) * (kNoise * y_spread) + 1e-10;
 
   std::vector<double> k_matrix(n * n);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
-      k_matrix[i * n + j] = rbf(xs_[i], xs_[j], params_.length_scale);
+      k_matrix[i * n + j] = rbf(xs_[i], xs_[j]);
       if (i == j) k_matrix[i * n + j] += noise_var;
     }
   }
@@ -105,14 +113,14 @@ BayesOpt1D::Posterior BayesOpt1D::posterior(double t) const {
   solve_upper(k_matrix, n, alpha);
 
   std::vector<double> k_star(n);
-  for (std::size_t i = 0; i < n; ++i) k_star[i] = rbf(t, xs_[i], params_.length_scale);
+  for (std::size_t i = 0; i < n; ++i) k_star[i] = rbf(t, xs_[i]);
 
   double mean = y_mean;
   for (std::size_t i = 0; i < n; ++i) mean += k_star[i] * alpha[i];
 
   std::vector<double> v = k_star;
   solve_lower(k_matrix, n, v);
-  double var = rbf(t, t, params_.length_scale);
+  double var = rbf(t, t);
   for (std::size_t i = 0; i < n; ++i) var -= v[i] * v[i];
   var = std::max(var, 0.0);
   // Scale predictive spread back to observation units.
@@ -120,7 +128,7 @@ BayesOpt1D::Posterior BayesOpt1D::posterior(double t) const {
 }
 
 double BayesOpt1D::suggest(Rng& rng) const {
-  if (xs_.size() < params_.initial_probes) {
+  if (xs_.size() < kInitialProbes) {
     // Space-filling start: ends first, then midpoints, lightly jittered.
     static constexpr double kAnchors[] = {0.15, 0.85, 0.5, 0.3, 0.7};
     const std::size_t idx = std::min(xs_.size(), std::size_t{4});
@@ -130,11 +138,11 @@ double BayesOpt1D::suggest(Rng& rng) const {
   }
   double best_t = 0.0;
   double best_acq = -1e300;
-  for (std::size_t g = 0; g < params_.grid_points; ++g) {
+  for (std::size_t g = 0; g < kGridPoints; ++g) {
     const double t =
-        static_cast<double>(g) / static_cast<double>(params_.grid_points - 1);
+        static_cast<double>(g) / static_cast<double>(kGridPoints - 1);
     const Posterior p = posterior(t);
-    const double acq = p.mean + params_.kappa * p.stddev +
+    const double acq = p.mean + kKappa * p.stddev +
                        1e-9 * rng.next_double();  // deterministic-ish tie break
     if (acq > best_acq) {
       best_acq = acq;

@@ -14,22 +14,9 @@
 
 namespace prophet::sched {
 
-struct BayesOptParams {
-  // RBF kernel length scale, in normalized [0, 1] input space.
-  double length_scale = 0.2;
-  // Observation noise standard deviation, relative to observed value spread.
-  double noise = 0.05;
-  // UCB exploration weight: acquisition = mu + kappa * sigma.
-  double kappa = 2.0;
-  // Acquisition is maximized over this many grid points.
-  std::size_t grid_points = 64;
-  // Number of initial space-filling probes before the GP takes over.
-  std::size_t initial_probes = 3;
-};
-
 class BayesOpt1D {
  public:
-  BayesOpt1D(double lo, double hi, BayesOptParams params = {});
+  BayesOpt1D(double lo, double hi);
 
   // Next point to evaluate. Deterministic given the observation history and
   // `rng` stream (rng breaks acquisition ties and jitters initial probes).
@@ -56,7 +43,6 @@ class BayesOpt1D {
 
   double lo_;
   double hi_;
-  BayesOptParams params_;
   std::vector<double> xs_;  // normalized inputs
   std::vector<double> ys_;  // raw observations
 };

@@ -4,17 +4,25 @@
 
 namespace prophet::sched {
 
+namespace {
+// Lower end of the tuner's credit search range (Fig. 3(b): ~3 MB to 13 MB).
+constexpr Bytes kCreditMin = Bytes::mib(1);
+// Seed of the tuner's own RNG stream (acquisition tie breaks and probe
+// jitter), fixed so a tuned run replays identically.
+constexpr std::uint64_t kTunerSeed = 0x5eed;
+}  // namespace
+
 ByteSchedulerScheduler::ByteSchedulerScheduler(TaskKind kind, ByteSchedulerConfig config)
     : CommScheduler{kind},
       config_{config},
       queue_{config.partition_bytes},
       credit_{config.credit_bytes},
-      tuner_rng_{config.tuner_seed} {
+      tuner_rng_{kTunerSeed} {
   PROPHET_CHECK(config_.credit_bytes >= config_.partition_bytes);
   if (config_.autotune) {
-    PROPHET_CHECK(config_.credit_max > config_.credit_min);
+    PROPHET_CHECK(config_.credit_max > kCreditMin);
     tuner_ = std::make_unique<BayesOpt1D>(
-        static_cast<double>(config_.credit_min.count()),
+        static_cast<double>(kCreditMin.count()),
         static_cast<double>(config_.credit_max.count()));
   }
 }

@@ -28,10 +28,9 @@ struct ByteSchedulerConfig {
   bool autotune = false;
   // Iterations per tuning episode (rate is averaged over an episode).
   std::size_t tune_interval_iters = 5;
-  // Credit search range explored by the tuner (Fig. 3(b): ~3 MB to 13 MB).
-  Bytes credit_min = Bytes::mib(1);
+  // Credit search range explored by the tuner (Fig. 3(b): ~3 MB to 13 MB):
+  // from 1 MiB (bytescheduler.cpp) up to credit_max.
   Bytes credit_max = Bytes::mib(16);
-  std::uint64_t tuner_seed = 0x5eed;
   // Application-level acknowledgment that replenishes the credit window
   // after each group — one round trip of credit-based flow control.
   Duration credit_ack_delay = Duration::micros(1000);

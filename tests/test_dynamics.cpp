@@ -283,11 +283,24 @@ TEST(DynamicsPlanDeathTest, ValidateRejectsMalformedPlans) {
     plan.bandwidth_scale(1_s, 0, -0.5);
     EXPECT_DEATH(plan.validate(2), "positive");
   }
-  {
-    net::DynamicsPlan plan;
-    plan.outage(1_s, 1_s, 0);
-    plan.events.pop_back();  // strip the matching outage_end
-    EXPECT_DEATH(plan.validate(2), "outage");
+}
+
+// A compute_scale row aimed at the PS tier carries no worker index, so
+// applying it would slow every worker; validate() points to ps_compute_scale.
+TEST(DynamicsPlanDeathTest, ComputeScaleAimedAtThePsIsRejected) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string path = ::testing::TempDir() + "/ps_compute_scale_trace.csv";
+  for (const char* target : {"ps", "shard:0"}) {
+    SCOPED_TRACE(target);
+    {
+      std::ofstream out{path};
+      out << "time_s,event,target,value\n"
+          << "0,compute_scale," << target << ",3\n";
+    }
+    std::string error;
+    const auto plan = net::DynamicsPlan::from_trace_csv(path, &error);
+    ASSERT_TRUE(plan.has_value()) << error;
+    EXPECT_DEATH(plan->validate(2), "compute_scale.*ps_compute_scale");
   }
 }
 
@@ -527,6 +540,47 @@ TEST(ClusterDynamics, RackOutageStallsCrossRackTraffic) {
   EXPECT_GT(faulted.simulated_time.count_nanos(),
             baseline.simulated_time.count_nanos());
   for (const auto& w : faulted.workers) EXPECT_EQ(w.iterations_completed, 12u);
+}
+
+// Outages pair per link once their targets resolve, so every spelling of
+// the same links (`*`, an index, `link:NAME`) is checked against the others.
+TEST(ClusterDynamicsDeathTest, OverlappingOutagesOnOneLinkFailBeforeSimulating) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  {
+    // The all-worker outage still holds worker 1's links at 200 ms.
+    auto cfg = small_config(ps::StrategyConfig::fifo());
+    cfg.dynamics.outage(100_ms, 200_ms, std::nullopt).outage(200_ms, 300_ms, 1);
+    cfg.dynamics.sort();
+    EXPECT_DEATH((void)run_cluster(cfg, 6),
+                 "outage_start on link 'worker1\\.[rt]x' at 200\\.000 ms while "
+                 "the outage from 100\\.000 ms");
+  }
+  {
+    // Index 1 and link:worker1 name the same {tx, rx} links.
+    auto cfg = small_config(ps::StrategyConfig::fifo());
+    cfg.dynamics.outage(100_ms, 400_ms, 1).link_outage(150_ms, 100_ms, "worker1");
+    cfg.dynamics.sort();
+    EXPECT_DEATH((void)run_cluster(cfg, 6),
+                 "outage_start on link 'worker1\\.[rt]x' at 150\\.000 ms");
+  }
+}
+
+TEST(ClusterDynamicsDeathTest, UnpairedOutagesFailBeforeSimulating) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  {
+    auto cfg = small_config(ps::StrategyConfig::fifo());
+    cfg.dynamics.outage(1_s, 1_s, 0);
+    cfg.dynamics.events.pop_back();  // strip the matching outage_end
+    EXPECT_DEATH((void)run_cluster(cfg, 6),
+                 "link 'worker0\\.[rt]x' at 1\\.000 s without a matching outage_end");
+  }
+  {
+    auto cfg = small_config(ps::StrategyConfig::fifo());
+    cfg.dynamics.outage(1_s, 1_s, 0);
+    cfg.dynamics.events.erase(cfg.dynamics.events.begin());  // keep only the end
+    EXPECT_DEATH((void)run_cluster(cfg, 6),
+                 "outage_end on link 'worker0\\.[rt]x' at 2\\.000 s that no outage holds");
+  }
 }
 
 TEST(ClusterDynamicsDeathTest, UnknownLinkNameFailsBeforeSimulating) {

@@ -176,6 +176,44 @@ TEST(ProphetScheduler, PullSideGroupsReadyParamsByPriority) {
   EXPECT_EQ(task->kind, TaskKind::kPull);
 }
 
+// Drain groups shrink with monitored instability: a bandwidth drop past the
+// 2% dead-band cuts them to the floor max(partition_bytes,
+// forward_group_max / 4), and while the estimate holds steady the peak-hold
+// signal decays by 0.95 per iteration, so the groups grow back gradually.
+TEST(ProphetScheduler, DrainGroupsShrinkWithInstabilityAndRecoverGradually) {
+  constexpr std::size_t kTensors = 16;
+  Bandwidth live = Bandwidth::gbps(10);
+  ProphetScheduler pull{TaskKind::kPull, kTensors, [&live] { return live; },
+                        simple_cost()};
+  pull.set_profile(make_profile(std::vector<Duration>(kTensors, 0_ms),
+                                std::vector<Bytes>(kTensors, Bytes::mib(4))));
+  std::size_t iteration = 0;
+  // Opens the next iteration (sampling `live`) and returns the first group.
+  auto next_group = [&] {
+    const TimePoint now = at(static_cast<std::int64_t>(100 * iteration));
+    pull.on_iteration_start(iteration++, now);
+    for (std::size_t g = 0; g < kTensors; ++g) pull.enqueue(g, Bytes::mib(4), now);
+    const auto first = pull.next_task(now);
+    EXPECT_TRUE(first.has_value());
+    while (pull.next_task(now)) {
+    }
+    return first.has_value() ? first->total_bytes() : Bytes::zero();
+  };
+
+  EXPECT_EQ(next_group(), Bytes::mib(8));  // initial plan: no drift yet
+  EXPECT_EQ(next_group(), Bytes::mib(8));  // steady estimate
+  live = Bandwidth::gbps(7);               // a 30% drop
+  EXPECT_EQ(next_group(), Bytes::mib(2));
+  Bytes previous = Bytes::mib(2);
+  for (int i = 0; i < 57; ++i) {
+    const Bytes group = next_group();
+    EXPECT_GE(group, previous) << "steady iteration " << i;
+    previous = group;
+  }
+  EXPECT_GT(previous, Bytes::mib(2));
+  EXPECT_LT(previous, Bytes::mib(8));
+}
+
 TEST(ProphetScheduler, ReplansEachIteration) {
   auto sched = make_push(
       2, make_profile({10_ms, 0_ms}, {Bytes::mib(1), Bytes::mib(1)}));
