@@ -146,9 +146,12 @@ double measure_rate(const ps::ClusterConfig& config) {
   return ps::run_cluster(config).mean_rate();
 }
 
-std::vector<ps::ClusterResult> run_all(const std::vector<ps::ClusterConfig>& configs) {
+std::vector<ps::ClusterResult> run_all(const std::vector<ps::ClusterConfig>& configs,
+                                       std::optional<std::size_t> measure_first) {
   const std::function<ps::ClusterResult(const ps::ClusterConfig&)> runner =
-      [](const ps::ClusterConfig& cfg) { return ps::run_cluster(cfg); };
+      [measure_first](const ps::ClusterConfig& cfg) {
+        return ps::run_cluster(cfg, measure_first);
+      };
   return exec::parallel_map<ps::ClusterConfig, ps::ClusterResult>(configs, runner);
 }
 

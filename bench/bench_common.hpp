@@ -3,6 +3,7 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -64,7 +65,9 @@ std::vector<Contender> all_contenders(bool bs_autotune = true);
 // over the post-warmup window.
 double measure_rate(const ps::ClusterConfig& config);
 
-// Run a batch of configs in parallel (each simulation is single-threaded).
-std::vector<ps::ClusterResult> run_all(const std::vector<ps::ClusterConfig>& configs);
+// Run a batch of configs in parallel (each simulation is single-threaded),
+// each over the window run_cluster takes from `measure_first`.
+std::vector<ps::ClusterResult> run_all(const std::vector<ps::ClusterConfig>& configs,
+                                       std::optional<std::size_t> measure_first = {});
 
 }  // namespace prophet::bench

@@ -54,6 +54,18 @@ target_link_libraries(micro_benchmarks PRIVATE
 set_target_properties(micro_benchmarks PROPERTIES
   RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 
+# Fig. 11 pin: fig11_transfer_times is the only reader of the transfer log's
+# per-gradient push summaries, so its CSV, regenerated in a fresh directory,
+# must match the committed bench_results/fig11_transfer_times.csv byte for
+# byte.
+add_test(NAME bench_fig11_csv_pinned
+         COMMAND ${CMAKE_COMMAND}
+           -DBENCH=$<TARGET_FILE:fig11_transfer_times>
+           -DCSV=fig11_transfer_times.csv
+           -DWORKDIR=${CMAKE_BINARY_DIR}/fig11_pin
+           -DEXPECTED=${CMAKE_SOURCE_DIR}/bench_results/fig11_transfer_times.csv
+           -P ${CMAKE_SOURCE_DIR}/bench/pin_csv.cmake)
+
 # Quick engine perf smoke: shrunk workloads, writes BENCH_engine_smoke.json
 # into the build tree (the tracked bench_results/BENCH_engine.json is only
 # rewritten by a full `perf_engine` run). Keeps the perf harness itself under

@@ -24,7 +24,9 @@ int run() {
                     ps::StrategyConfig::prophet(), 36),
   };
   const std::vector<std::string> labels{"MXNet", "ByteScheduler", "Prophet"};
-  const auto results = run_all(configs);
+  // Every contender is summarized over the same steady-state window,
+  // iterations [12, 36), not each one's default.
+  const auto results = run_all(configs, 12);
 
   // Per-gradient table (sampled every 10 gradients) + full CSV.
   auto csv = make_csv("fig11_transfer_times",
@@ -34,8 +36,7 @@ int run() {
                    "Prophet start-end (ms)"}};
   std::vector<std::vector<metrics::GradientTransferSummary>> summaries;
   for (std::size_t s = 0; s < results.size(); ++s) {
-    summaries.push_back(results[s].workers[0].transfers.per_gradient(
-        12, 36, sched::TaskKind::kPush));
+    summaries.push_back(results[s].workers[0].transfers.per_gradient());
     for (const auto& g : summaries.back()) {
       if (g.wait_ms.empty()) continue;
       csv.write_row({labels[s], std::to_string(g.grad),
@@ -63,8 +64,7 @@ int run() {
   std::printf("\nAveraged over all gradients (steady-state iterations):\n");
   TextTable agg{{"strategy", "mean wait (ms)", "mean transfer (ms)"}};
   for (std::size_t s = 0; s < results.size(); ++s) {
-    const auto overall =
-        results[s].workers[0].transfers.overall(12, 36, sched::TaskKind::kPush);
+    const auto overall = results[s].workers[0].transfers.overall();
     agg.add_row({labels[s], TextTable::num(overall.mean_wait_ms, 4),
                  TextTable::num(overall.mean_transfer_ms, 4)});
   }

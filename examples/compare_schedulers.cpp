@@ -55,8 +55,7 @@ int main(int argc, char** argv) {
   TextTable table{{"strategy", "rate (samples/s)", "GPU util", "mean push wait (ms)"}};
   for (std::size_t i = 0; i < contenders.size(); ++i) {
     const auto& r = results[i];
-    const auto waits = r.workers[0].transfers.overall(
-        r.measure_first, r.measure_last, sched::TaskKind::kPush);
+    const auto waits = r.workers[0].transfers.overall();
     table.add_row({contenders[i].label, TextTable::num(r.mean_rate(), 4),
                    TextTable::pct(r.mean_utilization()),
                    TextTable::num(waits.mean_wait_ms, 3)});

@@ -40,9 +40,7 @@ int main() {
                 "profiling)\n",
                 *worker0.prophet_activated_at);
   }
-  const auto waits =
-      worker0.transfers.overall(result.measure_first, result.measure_last,
-                                sched::TaskKind::kPush);
+  const auto waits = worker0.transfers.overall();
   std::printf("Mean gradient wait before transfer: %.2f ms over %zu pushes\n",
               waits.mean_wait_ms, waits.count);
   return 0;

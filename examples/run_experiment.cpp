@@ -254,12 +254,14 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  // The Chrome trace replays every transfer record; other runs keep only
+  // the streamed push summaries.
+  cfg.keep_transfer_records = flags->has("trace");
   const auto result = ps::run_cluster(cfg);
   std::printf("[%s/ps] rate %.2f samples/s/worker, GPU utilization %.1f%%\n",
               strategy_name.c_str(), result.mean_rate(),
               100.0 * result.mean_utilization());
-  const auto waits = result.workers[0].transfers.overall(
-      result.measure_first, result.measure_last, sched::TaskKind::kPush);
+  const auto waits = result.workers[0].transfers.overall();
   std::printf("mean gradient wait %.2f ms, mean transfer %.2f ms (%zu pushes)\n",
               waits.mean_wait_ms, waits.mean_transfer_ms, waits.count);
   if (result.workers[0].prophet_replans > 0) {

@@ -38,6 +38,7 @@ int main(int argc, char** argv) {
   cfg.iterations = 24;
   cfg.strategy = *strategy;
   cfg.strategy.prophet_config.profile_iterations = 6;
+  cfg.keep_transfer_records = true;  // both exports replay every record
 
   const auto result = ps::run_cluster(cfg);
   const auto& records = result.workers[0].transfers.records();

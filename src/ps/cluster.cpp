@@ -28,17 +28,18 @@ double ClusterResult::mean_utilization() const {
 ClusterResult run_cluster(const ClusterConfig& config,
                           std::optional<std::size_t> measure_first) {
   config.validate();
-  if (!measure_first.has_value()) (void)config.default_measure_first();
   sim::Simulator sim;
   const net::TcpCostModel cost{config.tcp};
   net::FlowNetwork network{sim, cost, config.rate_rebalance};
   network.set_verify_rates(config.verify_rates);
   net::BuiltTopology topology{network, *config.topology};
 
+  JobOptions options;
+  options.measure_first = measure_first;
   std::vector<std::unique_ptr<JobRuntime>> jobs;
-  jobs.push_back(std::make_unique<JobRuntime>(sim, network, topology, config));
+  jobs.push_back(std::make_unique<JobRuntime>(sim, network, topology, config, options));
   run_jobs(sim, jobs, config.metrics_horizon);
-  return jobs.front()->collect(measure_first, sim.events_fired());
+  return jobs.front()->collect({}, sim.events_fired());
 }
 
 }  // namespace prophet::ps

@@ -32,6 +32,9 @@ struct WorkerResult {
   // `transfers`, `tx_series` and `rx_series` empty (the ring attaches no
   // trackers).
   metrics::TrainingMetrics training;
+  // Push summaries streamed over [measure_first, measure_last) plus a count
+  // of every record; raw records only under
+  // ClusterConfig::keep_transfer_records.
   metrics::TransferLog transfers;
   BinnedSeries gpu_series;
   // Raw GPU busy intervals (trace export).
@@ -65,7 +68,9 @@ struct ClusterResult {
 // [config.default_measure_first(), iterations), which skips Prophet's
 // profiling phase (plus slack) so strategies are compared at steady state;
 // a default window with nothing to measure aborts before the first event.
-// Pass `measure_first` to override.
+// Pass `measure_first` to override. The window is fixed before the run
+// starts: it also bounds the push summaries every worker's transfer log
+// streams.
 ClusterResult run_cluster(const ClusterConfig& config,
                           std::optional<std::size_t> measure_first = {});
 

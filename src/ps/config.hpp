@@ -87,6 +87,14 @@ struct ClusterConfig {
   // independent per-key delays.
   bool serialize_ps_cpu = false;
 
+  // Each worker's TransferLog streams its push summaries (overall() and
+  // per_gradient()) over the run's measurement window and counts every
+  // record; it keeps the raw TransferRecords — 64 bytes per tensor,
+  // direction and iteration — only when this is set. Readers of records()
+  // opt in: run_experiment --trace (the Chrome trace export),
+  // trace_explorer and chaos_run.
+  bool keep_transfer_records = false;
+
   // Utilization / throughput series resolution and horizon.
   Duration metrics_bin = Duration::millis(250);
   Duration metrics_horizon = Duration::seconds(900);
@@ -107,8 +115,9 @@ struct ClusterConfig {
   // past Prophet's profiling phase plus three iterations of slack (three for
   // every other strategy), so strategies compare at steady state. Aborts,
   // naming the fields, when fewer than two iterations would remain.
-  // run_cluster, run_multi_job and ar::run_allreduce call it before the
-  // first event unless given an explicit window.
+  // The JobRuntime constructor (under run_cluster and run_multi_job) and
+  // ar::run_allreduce call it before the first event unless given an
+  // explicit window.
   [[nodiscard]] std::size_t default_measure_first() const;
 
   // Single validation entry point, called by run_cluster, run_multi_job (per

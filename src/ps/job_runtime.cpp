@@ -15,6 +15,9 @@ JobRuntime::JobRuntime(sim::Simulator& sim, net::FlowNetwork& network,
       network_{network},
       config_{std::move(config)},
       options_{std::move(options)},
+      measure_first_{options_.measure_first.has_value()
+                         ? *options_.measure_first
+                         : config_.default_measure_first()},
       cost_{config_.tcp} {
   const ClusterConfig& cfg = config_;
   // Offset jobs still record metrics against the shared origin-based clock,
@@ -79,6 +82,8 @@ JobRuntime::JobRuntime(sim::Simulator& sim, net::FlowNetwork& network,
     params.node = worker_nodes_[w];
     params.ps_nodes = ps_nodes_;
     params.iterations = cfg.iterations;
+    params.measure_first = measure_first_;
+    params.keep_transfer_records = cfg.keep_transfer_records;
     params.iteration_model = iteration_model_.get();
     params.server = server_.get();
     params.strategy = cfg.strategy;
@@ -294,10 +299,17 @@ ClusterResult JobRuntime::collect(std::optional<std::size_t> measure_first,
   PROPHET_CHECK_MSG(!collected_,
                     "JobRuntime::collect() is single-use: it moves the job's "
                     "logs and series into the first result");
+  PROPHET_CHECK_MSG(!measure_first.has_value() || *measure_first == measure_first_,
+                    ("JobRuntime::collect(): measure_first " +
+                     std::to_string(measure_first.value_or(0)) +
+                     " differs from the window the job streamed its transfer "
+                     "summaries over, which starts at iteration " +
+                     std::to_string(measure_first_) +
+                     " (fixed at construction: JobOptions::measure_first)")
+                        .c_str());
   collected_ = true;
   const ClusterConfig& cfg = config_;
-  const std::size_t first =
-      measure_first.has_value() ? *measure_first : cfg.default_measure_first();
+  const std::size_t first = measure_first_;
   const std::size_t last = cfg.iterations;
 
   // The network may outlive this job (and keeps settling for other jobs on a

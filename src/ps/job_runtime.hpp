@@ -10,6 +10,10 @@
 //   when done(): recover_crashed(); disarm_faults(); finish_training(now);
 //   ... drain ...  finish_audit(); collect(...) — once.
 //
+// The measurement window [measure_first, iterations) is fixed at
+// construction: workers stream their push summaries over it while the job
+// runs, so collect() reports that window and no other.
+//
 // collect() hands the job's logs and series over to the result by moving
 // them, so it is single-use: it first detaches the job's throughput trackers
 // from the (possibly shared) network, so no tracker pointer outlives the
@@ -40,7 +44,8 @@
 
 namespace prophet::ps {
 
-// Per-job placement and pacing decisions, made by the cluster scheduler.
+// Per-job placement and pacing decisions, made by the cluster scheduler, and
+// the job's measurement window.
 struct JobOptions {
   // Prepended to node names so jobs sharing one network stay distinguishable
   // ("job0." -> "job0.ps", "job0.worker1").
@@ -52,6 +57,10 @@ struct JobOptions {
   // fall back to sequential first-fit; ignored on a star.
   std::optional<std::size_t> ps_rack;
   std::vector<std::size_t> worker_racks;
+  // First iteration of the measurement window; unset takes
+  // ClusterConfig::default_measure_first(), which aborts on an empty window
+  // before anything is built.
+  std::optional<std::size_t> measure_first;
 };
 
 class JobRuntime {
@@ -97,10 +106,11 @@ class JobRuntime {
     return worker_nodes_;
   }
 
-  // Gathers per-worker results over [measure_first, iterations), by default
-  // from ClusterConfig::default_measure_first(). `events_fired` is the
-  // simulator-wide count (jobs sharing a loop share it). Single use: moves
-  // the transfer logs, GPU and throughput series into the result.
+  // Gathers per-worker results over the job's window [measure_first,
+  // iterations). An engaged `measure_first` must name that window (aborts
+  // otherwise). `events_fired` is the simulator-wide count (jobs sharing a
+  // loop share it). Single use: moves the transfer logs, GPU and throughput
+  // series into the result.
   [[nodiscard]] ClusterResult collect(std::optional<std::size_t> measure_first,
                                       std::uint64_t events_fired);
 
@@ -122,6 +132,7 @@ class JobRuntime {
   net::FlowNetwork& network_;
   ClusterConfig config_;
   JobOptions options_;
+  std::size_t measure_first_;
   net::TcpCostModel cost_;
   std::vector<net::NodeId> ps_nodes_;
   std::vector<net::NodeId> worker_nodes_;

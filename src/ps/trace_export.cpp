@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "common/check.hpp"
 #include "metrics/chrome_trace.hpp"
 
 namespace prophet::ps {
@@ -14,6 +15,15 @@ constexpr int kFaultLane = 3;
 }  // namespace
 
 void export_chrome_trace(const ClusterResult& result, const std::string& path) {
+  for (const auto& worker : result.workers) {
+    PROPHET_CHECK_MSG(worker.transfers.records().size() == worker.transfers.count(),
+                      ("export_chrome_trace: worker " + std::to_string(worker.id) +
+                       " counted " + std::to_string(worker.transfers.count()) +
+                       " transfer records but kept " +
+                       std::to_string(worker.transfers.records().size()) +
+                       "; run with ClusterConfig::keep_transfer_records = true")
+                          .c_str());
+  }
   metrics::ChromeTraceWriter trace{path};
   for (const auto& worker : result.workers) {
     const int pid = static_cast<int>(worker.id);

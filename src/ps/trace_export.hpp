@@ -11,6 +11,10 @@
 //     transport attempt failed and backed off), "worker_crash" /
 //     "worker_recover" (process loss and restart), "ps_crash" /
 //     "ps_failover" (parameter-server loss and checkpoint restore).
+//
+// The push and pull lanes replay the raw transfer records, so the run needs
+// ClusterConfig::keep_transfer_records; a result whose logs counted records
+// they did not keep aborts before the file is opened.
 #pragma once
 
 #include <string>

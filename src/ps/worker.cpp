@@ -15,7 +15,8 @@ Worker::Worker(sim::Simulator& sim, net::FlowNetwork& network, Params params, Rn
       rng_{rng},
       training_{params_.batch},
       gpu_{params_.metrics_bin, params_.metrics_horizon},
-      transfer_log_{} {
+      transfer_log_{params_.measure_first, params_.iterations,
+                    params_.keep_transfer_records} {
   PROPHET_CHECK(params_.iteration_model != nullptr);
   PROPHET_CHECK(params_.server != nullptr);
   PROPHET_CHECK_MSG(!params_.ps_nodes.empty(), "worker needs at least one PS endpoint");

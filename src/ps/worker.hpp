@@ -55,6 +55,11 @@ class Worker {
     // tier is the one-element vector.
     std::vector<net::NodeId> ps_nodes;
     std::size_t iterations;
+    // First iteration of the measurement window [measure_first, iterations)
+    // the transfer log streams push summaries over.
+    std::size_t measure_first = 0;
+    // Keep every raw transfer record too (ClusterConfig::keep_transfer_records).
+    bool keep_transfer_records = false;
     const dnn::IterationModel* iteration_model;
     Server* server;
     StrategyConfig strategy;
@@ -129,7 +134,9 @@ class Worker {
   [[nodiscard]] metrics::GpuTracker& gpu() { return gpu_; }
   // Result hand-off: moves the transfer log out instead of copying it; the
   // worker's log reads empty afterwards.
-  [[nodiscard]] metrics::TransferLog take_transfers() { return std::move(transfer_log_); }
+  [[nodiscard]] metrics::TransferLog take_transfers() {
+    return std::exchange(transfer_log_, metrics::TransferLog{});
+  }
   // Iteration at which Prophet's profile became active (nullopt: not Prophet
   // or still profiling).
   [[nodiscard]] std::optional<std::size_t> prophet_activated_at() const {

@@ -65,6 +65,7 @@ TEST_F(ChromeTraceTest, ExportsFullClusterRun) {
   cfg.iterations = 6;
   cfg.strategy = ps::StrategyConfig::prophet();
   cfg.strategy.prophet_config.profile_iterations = 2;
+  cfg.keep_transfer_records = true;
   const auto result = ps::run_cluster(cfg, 2);
   ps::export_chrome_trace(result, path_);
 
@@ -82,9 +83,27 @@ TEST_F(ChromeTraceTest, ExportsFullClusterRun) {
   }
   std::size_t expected = 0;
   for (const auto& w : result.workers) {
+    EXPECT_GT(w.transfers.records().size(), 0u);
+    EXPECT_EQ(w.transfers.records().size(), w.transfers.count());
     expected += w.transfers.records().size() + w.gpu_intervals.size();
   }
   EXPECT_EQ(spans, expected);
+}
+
+// A run that did not keep its raw records cannot be replayed as a trace:
+// the export dies naming the config field instead of writing empty lanes.
+TEST_F(ChromeTraceTest, ExportWithoutKeptRecordsDies) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ps::ClusterConfig cfg;
+  cfg.model = dnn::toy_cnn();
+  cfg.num_workers = 2;
+  cfg.batch = 16;
+  cfg.iterations = 6;
+  cfg.strategy = ps::StrategyConfig::fifo();
+  const auto result = ps::run_cluster(cfg, 2);
+  ASSERT_TRUE(result.workers[0].transfers.records().empty());
+  ASSERT_GT(result.workers[0].transfers.count(), 0u);
+  EXPECT_DEATH(ps::export_chrome_trace(result, path_), "keep_transfer_records");
 }
 
 }  // namespace

@@ -61,7 +61,9 @@ TEST_P(EveryStrategy, CompletesAllIterations) {
 }
 
 TEST_P(EveryStrategy, EveryGradientPushedAndPulledEveryIteration) {
-  const auto result = run_cluster(small_config(strategy()), 6);
+  auto cfg = small_config(strategy());
+  cfg.keep_transfer_records = true;
+  const auto result = run_cluster(cfg, 6);
   const std::size_t n = dnn::toy_cnn().tensor_count();
   for (const auto& w : result.workers) {
     // Count full-tensor bytes moved per direction in iterations [2, 10).
@@ -177,8 +179,11 @@ TEST(ClusterIntegration, AspModeRunsAndDecouplesWorkers) {
 }
 
 TEST(ClusterIntegration, TransferWaitTimesNonNegative) {
-  const auto result = run_cluster(small_config(StrategyConfig::prophet()), 6);
+  auto cfg = small_config(StrategyConfig::prophet());
+  cfg.keep_transfer_records = true;
+  const auto result = run_cluster(cfg, 6);
   for (const auto& w : result.workers) {
+    ASSERT_FALSE(w.transfers.records().empty());
     for (const auto& rec : w.transfers.records()) {
       EXPECT_GE(rec.wait().count_nanos(), 0) << rec.grad;
       EXPECT_GT(rec.transfer().count_nanos(), 0);
@@ -211,14 +216,18 @@ TEST(JobRuntimeDeathTest, CollectIsSingleUse) {
   sim::Simulator sim;
   net::FlowNetwork network{sim, net::TcpCostModel{cfg.tcp}};
   net::BuiltTopology topology{network, *cfg.topology};
+  JobOptions options;
+  options.measure_first = 6;
   std::vector<std::unique_ptr<JobRuntime>> jobs;
-  jobs.push_back(std::make_unique<JobRuntime>(sim, network, topology, cfg));
+  jobs.push_back(std::make_unique<JobRuntime>(sim, network, topology, cfg, options));
   run_jobs(sim, jobs, cfg.metrics_horizon);
 
   const ClusterResult result = jobs.front()->collect(6, sim.events_fired());
   ASSERT_EQ(result.workers.size(), cfg.num_workers);
+  EXPECT_EQ(result.measure_first, 6u);
   for (const auto& w : result.workers) {
-    EXPECT_FALSE(w.transfers.records().empty());
+    EXPECT_GT(w.transfers.count(), 0u);
+    EXPECT_GT(w.transfers.overall().count, 0u);
     EXPECT_FALSE(w.gpu_intervals.empty());
     EXPECT_GT(w.gpu_series.stored_bins(), 0u);
     EXPECT_GT(w.tx_series.stored_bins(), 0u);
@@ -237,6 +246,23 @@ TEST(JobRuntimeDeathTest, CollectIsSingleUse) {
                      [&delivered](net::FlowId) { delivered = true; });
   sim.run();
   EXPECT_TRUE(delivered);
+}
+
+// The window is fixed when the job is built, because workers stream their
+// push summaries over it: collect() refuses to report any other.
+TEST(JobRuntimeDeathTest, CollectRejectsAnotherWindow) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const ClusterConfig cfg = small_config(StrategyConfig::fifo());
+  ASSERT_EQ(cfg.default_measure_first(), 3u);
+  sim::Simulator sim;
+  net::FlowNetwork network{sim, net::TcpCostModel{cfg.tcp}};
+  net::BuiltTopology topology{network, *cfg.topology};
+  std::vector<std::unique_ptr<JobRuntime>> jobs;
+  jobs.push_back(std::make_unique<JobRuntime>(sim, network, topology, cfg));
+  run_jobs(sim, jobs, cfg.metrics_horizon);
+  EXPECT_DEATH((void)jobs.front()->collect(6, sim.events_fired()),
+               "measure_first 6 differs .* starts at iteration 3");
+  EXPECT_EQ(jobs.front()->collect(3, sim.events_fired()).measure_first, 3u);
 }
 
 }  // namespace

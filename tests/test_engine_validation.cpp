@@ -164,6 +164,7 @@ TEST_P(ZooConservation, PsEngineMovesExactlyTheModelBytes) {
   cfg.topology = net::TopologySpec::star(Bandwidth::gbps(10), Bandwidth::gbps(10));
   cfg.strategy = ps::StrategyConfig::prophet();
   cfg.strategy.prophet_config.profile_iterations = 2;
+  cfg.keep_transfer_records = true;
   const auto result = ps::run_cluster(cfg, 3);
   const auto expected = cfg.model.total_bytes().count();
   for (const auto& w : result.workers) {

@@ -122,6 +122,7 @@ ps::ClusterConfig chaos_config(const ps::StrategyConfig& strategy,
   cfg.strategy.prophet_config.profile_iterations = 4;
   cfg.reliability.retry_budget = 64;
   cfg.checkpoint_period = 40_ms;
+  cfg.keep_transfer_records = true;  // the fingerprint hashes every record
 
   // The plan RNG is independent of the simulation seed stream on purpose:
   // the same seed must drive both the fault plan and the run.
@@ -252,6 +253,7 @@ ChaosCell run_multijob_cell(std::uint64_t seed, std::size_t iterations,
     job.config.iterations = iterations;
     job.config.seed = seed + j;
     job.config.strategy = ps::StrategyConfig::fifo();
+    job.config.keep_transfer_records = true;
     cfg.jobs.push_back(std::move(job));
   }
   const auto first = cluster::run_multi_job(cfg);
