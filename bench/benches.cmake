@@ -86,8 +86,10 @@ add_test(NAME bench_scale_smoke
 set_tests_properties(bench_scale_smoke PROPERTIES TIMEOUT 600
   FIXTURES_SETUP scale_smoke_json RUN_SERIAL TRUE)
 
-# Speedup ratchet against the committed smoke baseline: the full/incremental
-# CPU-time ratio is machine-paired, so a drop below 0.9x baseline means the
+# Ratchet against the committed smoke baseline: each cell's deterministic
+# counters (events, rebalances, settlements, rate-group lifecycle) must match
+# it exactly, and the full/incremental CPU-time ratio, which is
+# machine-paired, must stay above 0.9x baseline, so a drop means the
 # incremental engine lost its fast path, not that CI was slow. Lives in
 # tools/ but is registered here because it reuses prophet_bench_common's
 # BenchJson reader.

@@ -49,6 +49,15 @@ void set_error(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
 }
 
+// The event's target as a trace CSV row spells it.
+std::string trace_target(const DynamicsEvent& ev) {
+  if (ev.targets_link()) return "link:" + ev.link;
+  if (ev.target_ps) {
+    return ev.ps_shard.has_value() ? "shard:" + std::to_string(*ev.ps_shard) : "ps";
+  }
+  return ev.worker.has_value() ? std::to_string(*ev.worker) : "*";
+}
+
 DynamicsEvent event_at(Duration at, DynamicsEvent::Type type) {
   DynamicsEvent ev;
   ev.at = at;
@@ -78,6 +87,9 @@ DynamicsPlan& DynamicsPlan::ps_bandwidth_scale(Duration at, double factor) {
 
 DynamicsPlan& DynamicsPlan::link_bandwidth_scale(Duration at, std::string link,
                                                  double factor) {
+  PROPHET_CHECK_MSG(!link.empty(),
+                    "DynamicsPlan::link_bandwidth_scale: empty link name (scale "
+                    "every worker with bandwidth_scale(at, std::nullopt, f))");
   DynamicsEvent ev = event_at(at, DynamicsEvent::Type::kBandwidthScale);
   ev.link = std::move(link);
   ev.factor = factor;
@@ -87,6 +99,9 @@ DynamicsPlan& DynamicsPlan::link_bandwidth_scale(Duration at, std::string link,
 
 DynamicsPlan& DynamicsPlan::link_outage(Duration at, Duration duration,
                                         std::string link) {
+  PROPHET_CHECK_MSG(!link.empty(),
+                    "DynamicsPlan::link_outage: empty link name (take every "
+                    "worker down with outage(at, d, std::nullopt))");
   PROPHET_CHECK_MSG(duration > Duration::zero(), "outage duration must be positive");
   DynamicsEvent start = event_at(at, DynamicsEvent::Type::kOutageStart);
   start.link = link;
@@ -461,6 +476,8 @@ void DynamicsPlan::sort() {
 
 void DynamicsPlan::validate(std::size_t num_workers, std::size_t ps_shards) const {
   using Type = DynamicsEvent::Type;
+  // Open outages per target as a trace CSV spells it -> the time each opened.
+  std::map<std::string, Duration> outage_open;
   // Crash bookkeeping per node ("ps", "ps:K" for one PS shard, or a worker
   // index).
   std::map<std::string, bool> node_down;
@@ -508,8 +525,24 @@ void DynamicsPlan::validate(std::size_t num_workers, std::size_t ps_shards) cons
                           "dynamics bandwidth_gbps needs a positive bandwidth");
         break;
       case Type::kOutageStart:
-      case Type::kOutageEnd:
+      case Type::kOutageEnd: {
+        const std::string target = trace_target(ev);
+        const auto [open, opened] = outage_open.try_emplace(target, ev.at);
+        const std::string where =
+            " on target '" + target + "' at " + format_duration(ev.at);
+        if (ev.type == Type::kOutageStart) {
+          PROPHET_CHECK_MSG(opened, ("dynamics outage_start" + where +
+                                     " while its outage from " +
+                                     format_duration(open->second) + " is open")
+                                        .c_str());
+        } else {
+          PROPHET_CHECK_MSG(!opened, ("dynamics outage_end" + where +
+                                      " with no open outage on that target")
+                                         .c_str());
+          outage_open.erase(open);
+        }
         break;
+      }
       case Type::kWorkerCrash:
       case Type::kWorkerRecover: {
         PROPHET_CHECK_MSG(!ev.target_ps && ev.worker.has_value(),
@@ -559,6 +592,11 @@ void DynamicsPlan::validate(std::size_t num_workers, std::size_t ps_shards) cons
         break;
     }
   }
+  PROPHET_CHECK_MSG(outage_open.empty(),
+                    ("dynamics outage_start on target '" + outage_open.begin()->first +
+                     "' at " + format_duration(outage_open.begin()->second) +
+                     " without a matching outage_end")
+                        .c_str());
   for (const auto& [key, down] : node_down) {
     PROPHET_CHECK_MSG(!down, "dynamics crash without a matching recover");
   }

@@ -73,8 +73,8 @@ struct DynamicsPlan {
                                 double factor);
   DynamicsPlan& ps_bandwidth_scale(Duration at, double factor);
   // Link-targeted variants: `link` names a topology link, rack or node (see
-  // DynamicsEvent::link). Resolution happens when the plan is armed against
-  // a built network, so plans stay plain data.
+  // DynamicsEvent::link); an empty name aborts. Resolution happens when the
+  // plan is armed against a built network, so plans stay plain data.
   DynamicsPlan& link_bandwidth_scale(Duration at, std::string link, double factor);
   DynamicsPlan& link_outage(Duration at, Duration duration, std::string link);
   // Appends the outage start *and* its end at `at + duration`.
@@ -153,9 +153,12 @@ struct DynamicsPlan {
   // bandwidth/outage. `ps_shards` bounds per-shard PS targets; whole-PS and
   // per-shard crash windows of the same tier may not overlap (a whole-tier
   // rollback has no well-defined arithmetic while one shard is already
-  // mid-failover). Outage start/end pairs are not checked here: different
-  // spellings (`*`, an index, `ps`, `link:NAME`) can name the same links, so
-  // ps::JobRuntime::start() pairs them per link once the targets resolve.
+  // mid-failover). Outages pair per target as a trace CSV spells it (`*`,
+  // an index, `ps`, `shard:K`, `link:NAME`): an outage_start on a target
+  // whose outage is open, an outage_end on a target with none open, or an
+  // outage that never ends aborts, naming the target and the time. Windows
+  // under different spellings may overlap on the same links (`*` and `1`):
+  // net::FlowNetwork counts each as one down-hold, so they compose.
   void validate(std::size_t num_workers, std::size_t ps_shards = 1) const;
 
   // True if any event is a crash/recover of the given flavor (the cluster

@@ -130,23 +130,29 @@ void FlowNetwork::set_link_capacity(LinkId id, Bandwidth cap) {
 Bandwidth FlowNetwork::link_capacity(LinkId id) const { return link(id).cap; }
 
 void FlowNetwork::set_link_state(std::span<const LinkId> ids, bool up) {
-  if (std::all_of(ids.begin(), ids.end(),
-                  [&](LinkId id) { return link(id).up == up; })) {
-    return;
+  bool flipped = false;  // a link flips on its first hold or its last release
+  for (const LinkId id : ids) {
+    Link& l = link(id);
+    PROPHET_CHECK_MSG(!up || l.down_holds > 0,
+                      ("FlowNetwork::set_link_state: link '" + l.name +
+                       "' brought up at " +
+                       format_duration(sim_.now() - TimePoint::origin()) +
+                       " with no down-hold to release")
+                          .c_str());
+    flipped |= up ? --l.down_holds == 0 : l.down_holds++ == 0;
   }
+  if (!flipped) return;
   if (mode_ == RebalanceMode::kFull) {
-    advance_to_now();
-    for (const LinkId id : ids) link(id).up = up;
+    advance_to_now();  // settles at the pre-flip rates; it never reads holds
     reassign_rates();
     return;
   }
   // One rebalance over the union of the links' components (a host's tx and
   // rx components are usually disjoint — tx carries sends, rx receives).
-  for (const LinkId id : ids) link(id).up = up;
   rebalance_from(ids.data(), ids.size());
 }
 
-bool FlowNetwork::link_state(LinkId id) const { return link(id).up; }
+bool FlowNetwork::link_state(LinkId id) const { return link(id).up(); }
 
 std::int64_t FlowNetwork::link_total_bytes(LinkId id) {
   if (mode_ == RebalanceMode::kFull) {
@@ -390,7 +396,7 @@ void FlowNetwork::progressive_fill(const std::vector<std::uint32_t>& flow_slots,
       if (fill_[l].unfrozen == 0) {
         // First draining flow on this link: (re)load its capacity. A down
         // link offers no capacity: its flows freeze at rate zero below.
-        fill_[l].cap = links_[l].up ? links_[l].cap.bytes_per_second() : 0.0;
+        fill_[l].cap = links_[l].up() ? links_[l].cap.bytes_per_second() : 0.0;
         active_links_.push_back(l);
       }
       ++fill_[l].unfrozen;
@@ -706,7 +712,7 @@ void FlowNetwork::maybe_form_group() {
   for (const LinkId l : comp_links_) {
     const std::size_t cnt = link_flows_[l].size();
     if (cnt == 0) continue;  // a seed link that carries no draining flow
-    const double share = (links_[l].up ? links_[l].cap.bytes_per_second() : 0.0) /
+    const double share = (links_[l].up() ? links_[l].cap.bytes_per_second() : 0.0) /
                          static_cast<double>(cnt);
     if (!have_anchor && cnt == n && share == rate) {
       have_anchor = true;
@@ -844,7 +850,7 @@ bool FlowNetwork::group_try_admit(std::uint32_t slot, TimePoint now) {
   std::uint32_t gid = kNoGroup;
   for (std::uint8_t i = 0; i < f.path_len; ++i) {
     const LinkId l = f.path[i];
-    if (!links_[l].up) return false;
+    if (!links_[l].up()) return false;
     if (link_flows_[l].empty()) continue;
     const std::uint32_t lg = slots_[link_flows_[l][0]].flow.group;
     if (lg == kNoGroup) return false;  // touches an ungrouped component

@@ -153,12 +153,14 @@ class FlowNetwork {
   // varying-bandwidth experiments of Sec. 5.3.
   void set_link_capacity(LinkId id, Bandwidth cap);
   [[nodiscard]] Bandwidth link_capacity(LinkId id) const;
-  // A down link contributes zero capacity: its draining flows park at rate
-  // zero (they stall without losing progress and resume, re-rated, when the
-  // link comes back up). link_capacity() keeps reporting the configured rate.
-  // All of `ids` flip in one rebalance seeded with all of them (a host's two
-  // access links go down together); setup-phase delays of already-started
-  // flows still elapse while down.
+  // The one writer of link state: `false` takes a down-hold on each of `ids`
+  // (one per outage or fault window), `true` releases one, and a link is up
+  // only while it holds none, so overlapping windows compose. Releasing a
+  // hold nobody took aborts, naming the link and the time. Links that flip do
+  // so in one rebalance seeded with all of `ids`. A down link contributes zero
+  // capacity: its draining flows park at rate zero without losing progress
+  // and resume, re-rated, when it comes back up; link_capacity() keeps the
+  // configured rate, and setup delays of started flows still elapse.
   void set_link_state(std::span<const LinkId> ids, bool up);
   [[nodiscard]] bool link_state(LinkId id) const;
   // Bytes moved through the link up to the current simulation time. Not
@@ -200,19 +202,20 @@ class FlowNetwork {
 
  private:
   // The unit of capacity and contention (an access port or a shared rack
-  // uplink). `up` is per-link so a rack uplink can fail independently of the
-  // hosts behind it. `busy_active`/`busy_mark` accrue busy time exactly
-  // between contention changes (a link is busy while it carries at least one
-  // positive-rate draining flow).
+  // uplink). `down_holds` is per-link so a rack uplink can fail independently
+  // of the hosts behind it. `busy_active`/`busy_mark` accrue busy time
+  // exactly between contention changes (a link is busy while it carries at
+  // least one positive-rate draining flow).
   struct Link {
     std::string name;
     Bandwidth cap;
-    bool up = true;
+    std::uint32_t down_holds = 0;  // see set_link_state
     bool busy_active = false;
     double total_bytes = 0.0;
     Duration busy{};
     TimePoint busy_mark{};
     BinnedSeries* tracker = nullptr;
+    [[nodiscard]] bool up() const { return down_holds == 0; }
   };
   struct Node {
     std::string name;

@@ -48,7 +48,6 @@ void ReliableChannel::send(NodeId src, NodeId dst, Bytes size,
   Pending& p = sends_[id];
   p.src = src;
   p.dst = dst;
-  p.total = size;
   p.attempt_bytes = size;
   p.on_complete = std::move(on_complete);
   launch(id);
@@ -122,28 +121,18 @@ void ReliableChannel::fail_attempt(std::uint64_t id, ChannelFault::Kind kind) {
     remaining = net_.cancel_flow(p.flow);
     p.flow_live = false;
   }
-  const Bytes drained = p.attempt_bytes - remaining;
   PROPHET_CHECK_MSG(
       p.attempts <= config_.retry_budget,
       "reliable transfer exhausted its retry budget; raise "
       "ReliabilityConfig::retry_budget or lower loss_rate");
-  if (config_.resume_partial) {
-    // Byte-range resume: keep what drained, send only the tail.
-    p.delivered += drained;
-    p.attempt_bytes = p.total - p.delivered;
-  } else {
-    // Message-level restart: drained bytes of the failed attempt are wasted
-    // and go over the wire again.
-    p.retransmitted += drained;
-    p.attempt_bytes = p.total;
-  }
+  // Byte-range resume: keep what drained, send only the tail.
+  p.attempt_bytes = remaining;
   const Duration backoff = backoff_for(p.attempts);
   if (on_fault_) {
     ChannelFault fault;
     fault.kind = kind;
     fault.attempt = p.attempts;
     fault.backoff = backoff;
-    fault.remaining = p.total - p.delivered;
     on_fault_(fault);
   }
   p.retry_event = sim_.schedule_after(backoff, [this, id] { launch(id); });
@@ -155,7 +144,6 @@ void ReliableChannel::on_attempt_complete(std::uint64_t id) {
   cancel_timers(p);
   SendOutcome outcome;
   outcome.attempts = p.attempts;
-  outcome.retransmitted = p.retransmitted;
   CompleteFn done = std::move(p.on_complete);
   sends_.erase(id);
   done(outcome);

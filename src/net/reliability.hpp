@@ -5,10 +5,8 @@
 // A ReliableChannel wraps start_flow with per-attempt loss injection (seeded
 // via common/rng, so a fixed seed replays the identical fault timeline), a
 // per-attempt no-progress watchdog, bounded exponential backoff with jitter
-// and a retry budget. Whether a failed attempt resumes from the bytes already
-// drained or restarts the whole transfer is a config knob
-// (`resume_partial`), quantifying the difference a byte-range-resuming
-// transport makes versus message-level retransmission.
+// and a retry budget. A failed attempt resumes from the bytes already drained
+// (byte-range resume), so no byte goes over the wire twice.
 //
 // Pay-for-use: with loss_rate == 0 a send is exactly one start_flow and zero
 // extra events or RNG draws — a fault-free run is bit-identical to one built
@@ -45,9 +43,6 @@ struct ReliabilityConfig {
   // aborts the run loudly (the simulation models a training job that would
   // hang, not one that silently drops a gradient).
   std::size_t retry_budget = 16;
-  // true: a retry resends only the bytes the failed attempt did not drain
-  // (byte-range resume); false: every retry restarts the whole transfer.
-  bool resume_partial = true;
 
   [[nodiscard]] bool enabled() const { return loss_rate > 0.0; }
   // Aborts with an actionable message on an ill-formed config.
@@ -57,8 +52,6 @@ struct ReliabilityConfig {
 // Delivered to the sender's completion callback.
 struct SendOutcome {
   std::size_t attempts = 1;
-  // Bytes drained by failed attempts and sent again (zero under resume).
-  Bytes retransmitted = Bytes::zero();
 };
 
 // Transport-fault notification (a failed attempt that will be retried).
@@ -70,7 +63,6 @@ struct ChannelFault {
   Kind kind = Kind::kLoss;
   std::size_t attempt = 0;  // failed attempt, 1-based
   Duration backoff{};       // wait before the next attempt
-  Bytes remaining{};        // bytes the failed attempt left undelivered
 };
 
 class ReliableChannel {
@@ -104,10 +96,7 @@ class ReliableChannel {
   struct Pending {
     NodeId src = 0;
     NodeId dst = 0;
-    Bytes total = Bytes::zero();
-    Bytes attempt_bytes = Bytes::zero();  // size of the current attempt
-    Bytes delivered = Bytes::zero();      // drained by failed attempts (resume)
-    Bytes retransmitted = Bytes::zero();
+    Bytes attempt_bytes = Bytes::zero();  // undrained tail the attempt sends
     std::size_t attempts = 0;
     FlowId flow = 0;
     bool flow_live = false;

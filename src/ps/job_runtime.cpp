@@ -1,7 +1,6 @@
 #include "ps/job_runtime.hpp"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
 #include "common/check.hpp"
@@ -114,47 +113,20 @@ void JobRuntime::start() {
   // job's start) and mutates the live network / workers / server. Its link
   // targets resolve here, once. A bandwidth event's capacities are computed
   // here too, before any event fires, so scales apply to the *configured*
-  // rates and never compound.
-  //
-  // Outages pair per link, not per spelling: `*`, an index, `ps` and a
-  // `link:` name can reach the same links, and an end that brought a link
-  // back up under a still-open outage would cut that outage short. Unpaired
-  // or overlapping outages abort here, before the first event fires.
+  // rates and never compound. Outage and PS-fault windows need no pairing
+  // here: validate() pairs them per target, and FlowNetwork counts each
+  // window as one down-hold, so windows that reach the same links through
+  // different spellings (or from different jobs) compose.
   using Type = net::DynamicsEvent::Type;
-  std::map<net::LinkId, Duration> outage_since;  // held link -> outage start
-  auto link_at = [&](net::LinkId id, Duration at) {
-    return "link '" + network_.link_name(id) + "' at " + format_duration(at);
-  };
   for (const auto& ev : config_.dynamics.events) {
     LinkGroups groups = target_links(ev);
     LinkCaps caps;
     for (const auto& group : groups) {
       for (const net::LinkId id : group) {
-        const auto held = outage_since.find(id);
-        switch (ev.type) {
-          case Type::kBandwidthScale:
-            caps.emplace_back(id, network_.link_capacity(id) * ev.factor);
-            break;
-          case Type::kBandwidthSet:
-            caps.emplace_back(id, ev.bandwidth);
-            break;
-          case Type::kOutageStart:
-            PROPHET_CHECK_MSG(held == outage_since.end(),
-                              ("dynamics outage_start on " + link_at(id, ev.at) +
-                               " while the outage from " +
-                               format_duration(held->second) + " still holds it")
-                                  .c_str());
-            outage_since.emplace(id, ev.at);
-            break;
-          case Type::kOutageEnd:
-            PROPHET_CHECK_MSG(held != outage_since.end(),
-                              ("dynamics outage_end on " + link_at(id, ev.at) +
-                               " that no outage holds")
-                                  .c_str());
-            outage_since.erase(held);
-            break;
-          default:
-            break;
+        if (ev.type == Type::kBandwidthScale) {
+          caps.emplace_back(id, network_.link_capacity(id) * ev.factor);
+        } else if (ev.type == Type::kBandwidthSet) {
+          caps.emplace_back(id, ev.bandwidth);
         }
       }
     }
@@ -163,11 +135,6 @@ void JobRuntime::start() {
                        apply_event(ev, groups, caps);
                      });
   }
-  PROPHET_CHECK_MSG(outage_since.empty(),
-                    ("dynamics outage_start on " +
-                     link_at(outage_since.begin()->first, outage_since.begin()->second) +
-                     " without a matching outage_end")
-                        .c_str());
 }
 
 JobRuntime::LinkGroups JobRuntime::target_links(const net::DynamicsEvent& ev) const {

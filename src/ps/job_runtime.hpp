@@ -116,8 +116,8 @@ class JobRuntime {
 
  private:
   // A dynamics event's link targets: one group per host it names ({tx, rx})
-  // or the links a `link:` name resolves to. Each group flips state in one
-  // rebalance.
+  // or the links a `link:` name resolves to. An outage or PS fault takes or
+  // releases one down-hold on each group's links in one set_link_state call.
   using LinkGroups = std::vector<std::vector<net::LinkId>>;
   // The capacity a bandwidth event gives each of its links, in group order.
   using LinkCaps = std::vector<std::pair<net::LinkId, Bandwidth>>;

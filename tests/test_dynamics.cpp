@@ -4,7 +4,9 @@
 // strategy-name registry the CLI flags are built on.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,7 +16,9 @@
 #include "net/dynamics.hpp"
 #include "net/flow_network.hpp"
 #include "net/monitor.hpp"
+#include "net/topology.hpp"
 #include "ps/cluster.hpp"
+#include "ps/job_runtime.hpp"
 
 namespace prophet {
 namespace {
@@ -285,6 +289,17 @@ TEST(DynamicsPlanDeathTest, ValidateRejectsMalformedPlans) {
   }
 }
 
+// An empty `link` means "not link-targeted", which would aim the event at
+// every worker; the link builders refuse it, as from_trace_csv refuses a
+// bare `link:` target.
+TEST(DynamicsPlanDeathTest, EmptyLinkNameIsRejected) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  net::DynamicsPlan plan;
+  EXPECT_DEATH(plan.link_outage(100_ms, 300_ms, ""), "link_outage: empty link name");
+  EXPECT_DEATH(plan.link_bandwidth_scale(Duration::zero(), "", 0.25),
+               "link_bandwidth_scale: empty link name");
+}
+
 // A compute_scale row aimed at the PS tier carries no worker index, so
 // applying it would slow every worker; validate() points to ps_compute_scale.
 TEST(DynamicsPlanDeathTest, ComputeScaleAimedAtThePsIsRejected) {
@@ -390,6 +405,21 @@ ps::ClusterConfig small_config(ps::StrategyConfig strategy) {
   cfg.strategy = strategy;
   cfg.strategy.prophet_config.profile_iterations = 4;
   return cfg;
+}
+
+// run_cluster's event loop with one probe: whether the link named `link` is
+// up `at` into the run (run_cluster does not expose its fabric mid-run).
+bool link_up_at(const ps::ClusterConfig& cfg, const std::string& link, Duration at) {
+  sim::Simulator sim;
+  net::FlowNetwork network{sim, net::TcpCostModel{cfg.tcp}};
+  net::BuiltTopology topology{network, *cfg.topology};
+  std::vector<std::unique_ptr<ps::JobRuntime>> jobs;
+  jobs.push_back(std::make_unique<ps::JobRuntime>(sim, network, topology, cfg));
+  const net::LinkId id = network.find_link(link).value();
+  bool up = true;
+  sim.schedule_at(TimePoint::origin() + at, [&] { up = network.link_state(id); });
+  ps::run_jobs(sim, jobs, cfg.metrics_horizon);
+  return up;
 }
 
 TEST(ClusterDynamics, SameSeedSamePlanIsBitDeterministic) {
@@ -542,26 +572,93 @@ TEST(ClusterDynamics, RackOutageStallsCrossRackTraffic) {
   for (const auto& w : faulted.workers) EXPECT_EQ(w.iterations_completed, 12u);
 }
 
-// Outages pair per link once their targets resolve, so every spelling of
-// the same links (`*`, an index, `link:NAME`) is checked against the others.
+// A PS crash inside a PS outage takes a second down-hold on the PS links, so
+// its recovery cannot end the outage early.
+TEST(ClusterDynamics, PsOutageHoldsThroughPsCrash) {
+  auto cfg = small_config(ps::StrategyConfig::fifo());
+  cfg.iterations = 14;
+  cfg.seed = 1;
+  cfg.checkpoint_period = 50_ms;
+  auto outage_only = cfg;
+  outage_only.dynamics.ps_outage(100_ms, 400_ms);
+  cfg.dynamics = outage_only.dynamics;
+  cfg.dynamics.ps_crash(200_ms, 50_ms);
+  cfg.dynamics.sort();
+  EXPECT_FALSE(link_up_at(cfg, "ps.rx", 300_ms));
+  const auto alone = run_cluster(outage_only, 6);
+  const auto crashed = run_cluster(cfg, 6);
+  EXPECT_GE(crashed.simulated_time.count_nanos(), alone.simulated_time.count_nanos());
+  for (const auto& w : crashed.workers) EXPECT_EQ(w.iterations_completed, 14u);
+}
+
+// Windows under different spellings may overlap on the same links. Each is
+// one down-hold, so the run replays a plan of the union windows; a window
+// inside another changes nothing but fires its own two events.
+TEST(ClusterDynamics, OverlappingOutagesCompose) {
+  struct Case {
+    net::DynamicsPlan overlapping;
+    net::DynamicsPlan unioned;
+    std::uint64_t extra_events;
+  };
+  std::vector<Case> cases(2);
+  // `*` [100, 300) and `1` [200, 500): worker 1 is down [100, 500).
+  cases[0].overlapping.outage(100_ms, 200_ms, std::nullopt).outage(200_ms, 300_ms, 1);
+  cases[0].unioned.outage(100_ms, 200_ms, 0).outage(100_ms, 400_ms, 1);
+  cases[0].extra_events = 0;
+  // `1` [100, 500) and `link:worker1` [150, 250), the same {tx, rx} links.
+  cases[1].overlapping.outage(100_ms, 400_ms, 1).link_outage(150_ms, 100_ms, "worker1");
+  cases[1].unioned.outage(100_ms, 400_ms, 1);
+  cases[1].extra_events = 2;
+
+  for (const auto& strategy :
+       {ps::StrategyConfig::fifo(), ps::StrategyConfig::bytescheduler(),
+        ps::StrategyConfig::prophet()}) {
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+      SCOPED_TRACE(strategy.name() + " case " + std::to_string(c));
+      auto overlapping = small_config(strategy);
+      overlapping.dynamics = cases[c].overlapping;
+      overlapping.dynamics.sort();
+      auto unioned = small_config(strategy);
+      unioned.dynamics = cases[c].unioned;
+      unioned.dynamics.sort();
+      const auto got = run_cluster(overlapping, 6);
+      const auto want = run_cluster(unioned, 6);
+      EXPECT_EQ(got.simulated_time.count_nanos(), want.simulated_time.count_nanos());
+      EXPECT_DOUBLE_EQ(got.mean_rate(), want.mean_rate());
+      EXPECT_EQ(got.events_fired, want.events_fired + cases[c].extra_events);
+    }
+  }
+}
+
+// validate() pairs outages per target as a trace CSV spells it, so a second
+// window opened under the spelling of one still open fails before anything
+// is built, naming the target and the time.
 TEST(ClusterDynamicsDeathTest, OverlappingOutagesOnOneLinkFailBeforeSimulating) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   {
-    // The all-worker outage still holds worker 1's links at 200 ms.
     auto cfg = small_config(ps::StrategyConfig::fifo());
-    cfg.dynamics.outage(100_ms, 200_ms, std::nullopt).outage(200_ms, 300_ms, 1);
+    cfg.dynamics.outage(100_ms, 200_ms, std::nullopt)
+        .outage(200_ms, 300_ms, std::nullopt);
     cfg.dynamics.sort();
     EXPECT_DEATH((void)run_cluster(cfg, 6),
-                 "outage_start on link 'worker1\\.[rt]x' at 200\\.000 ms while "
-                 "the outage from 100\\.000 ms");
+                 "outage_start on target '\\*' at 200\\.000 ms while its outage "
+                 "from 100\\.000 ms is open");
   }
   {
-    // Index 1 and link:worker1 name the same {tx, rx} links.
     auto cfg = small_config(ps::StrategyConfig::fifo());
-    cfg.dynamics.outage(100_ms, 400_ms, 1).link_outage(150_ms, 100_ms, "worker1");
+    cfg.dynamics.outage(100_ms, 400_ms, 1).outage(150_ms, 100_ms, 1);
     cfg.dynamics.sort();
     EXPECT_DEATH((void)run_cluster(cfg, 6),
-                 "outage_start on link 'worker1\\.[rt]x' at 150\\.000 ms");
+                 "outage_start on target '1' at 150\\.000 ms while its outage "
+                 "from 100\\.000 ms is open");
+  }
+  {
+    auto cfg = small_config(ps::StrategyConfig::fifo());
+    cfg.dynamics.link_outage(100_ms, 400_ms, "worker1")
+        .link_outage(150_ms, 100_ms, "worker1");
+    cfg.dynamics.sort();
+    EXPECT_DEATH((void)run_cluster(cfg, 6),
+                 "outage_start on target 'link:worker1' at 150\\.000 ms");
   }
 }
 
@@ -572,14 +669,23 @@ TEST(ClusterDynamicsDeathTest, UnpairedOutagesFailBeforeSimulating) {
     cfg.dynamics.outage(1_s, 1_s, 0);
     cfg.dynamics.events.pop_back();  // strip the matching outage_end
     EXPECT_DEATH((void)run_cluster(cfg, 6),
-                 "link 'worker0\\.[rt]x' at 1\\.000 s without a matching outage_end");
+                 "outage_start on target '0' at 1\\.000 s without a matching outage_end");
   }
   {
     auto cfg = small_config(ps::StrategyConfig::fifo());
     cfg.dynamics.outage(1_s, 1_s, 0);
     cfg.dynamics.events.erase(cfg.dynamics.events.begin());  // keep only the end
     EXPECT_DEATH((void)run_cluster(cfg, 6),
-                 "outage_end on link 'worker0\\.[rt]x' at 2\\.000 s that no outage holds");
+                 "outage_end on target '0' at 2\\.000 s with no open outage");
+  }
+  {
+    // Ended under another spelling of the same links: `*` opens the window,
+    // so `1` has none to close.
+    auto cfg = small_config(ps::StrategyConfig::fifo());
+    cfg.dynamics.outage(100_ms, 200_ms, std::nullopt);
+    cfg.dynamics.events.back().worker = 1;
+    EXPECT_DEATH((void)run_cluster(cfg, 6),
+                 "outage_end on target '1' at 300\\.000 ms with no open outage");
   }
 }
 

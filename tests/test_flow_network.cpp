@@ -160,6 +160,62 @@ TEST(FlowNetwork, TracksBytesAndBusyTime) {
   EXPECT_NEAR(tx.bin_amount(5), 12'500'000.0, 1.0);
 }
 
+// Each set_link_state(false) takes one down-hold and each (true) releases
+// one; a link is up only while it holds none, so overlapping outage windows
+// compose instead of the first end cutting the later window short.
+TEST(FlowNetwork, LinkStaysDownUntilItsLastHoldIsReleased) {
+  for (const RebalanceMode mode : {RebalanceMode::kIncremental, RebalanceMode::kFull}) {
+    SCOPED_TRACE(mode == RebalanceMode::kFull ? "kFull" : "kIncremental");
+    sim::Simulator sim;
+    FlowNetwork net{sim, no_overhead_model(), mode};
+    const NodeId a = net.add_node("a", Bandwidth::gbps(1), Bandwidth::gbps(1));
+    const NodeId b = net.add_node("b", Bandwidth::gbps(1), Bandwidth::gbps(1));
+    const auto links = net.access_links(a);
+    // 125 MB at 1 Gbps drains in 1 s. Holds taken at 0.2 s and 0.3 s and
+    // released at 0.4 s and 0.7 s park the flow for 0.5 s: done at 1.5 s.
+    double done_s = 0.0;
+    const FlowId flow = net.start_flow(a, b, Bytes::of(125'000'000),
+                                       [&](FlowId) { done_s = sim.now().to_seconds(); });
+    auto at = [&](Duration t, auto fn) { sim.schedule_at(TimePoint::origin() + t, fn); };
+    at(200_ms, [&] { net.set_link_state(links, false); });
+    at(300_ms, [&] { net.set_link_state(links, false); });
+    at(400_ms, [&] {
+      net.set_link_state(links, true);
+      EXPECT_FALSE(net.link_state(links[0]));
+      EXPECT_FALSE(net.link_state(links[1]));
+      EXPECT_TRUE(net.flow_rate(flow).is_zero());
+    });
+    at(650_ms, [&] {
+      // Still parked where the first hold froze it: 25 MB drained by 0.2 s.
+      EXPECT_NEAR(net.flow_remaining_bytes(flow), 100'000'000.0, 1.0);
+    });
+    at(700_ms, [&] {
+      net.set_link_state(links, true);
+      EXPECT_TRUE(net.link_state(links[0]));
+      EXPECT_TRUE(net.link_state(links[1]));
+      EXPECT_NEAR(net.flow_rate(flow).bytes_per_second(), 125e6, 1.0);
+    });
+    sim.run();
+    EXPECT_NEAR(done_s, 1.5, 1e-6);
+  }
+}
+
+TEST(FlowNetworkDeathTest, ReleasingAnUnheldLinkAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Fixture f;
+  const NodeId a = f.net.add_node("a", Bandwidth::gbps(1), Bandwidth::gbps(1));
+  const auto links = f.net.access_links(a);
+  f.sim.schedule_at(TimePoint::origin() + 100_ms,
+                    [&] { f.net.set_link_state(links, false); });
+  f.sim.schedule_at(TimePoint::origin() + 200_ms,
+                    [&] { f.net.set_link_state(links, true); });
+  // One hold, two releases: the second names the link and the time.
+  f.sim.schedule_at(TimePoint::origin() + 250_ms,
+                    [&] { f.net.set_link_state(links, true); });
+  EXPECT_DEATH(f.sim.run(),
+               "link 'a\\.tx' brought up at 250\\.000 ms with no down-hold");
+}
+
 TEST(FlowNetwork, FlowRateVisibleWhileDraining) {
   Fixture f;
   const NodeId a = f.net.add_node("a", Bandwidth::gbps(1), Bandwidth::gbps(1));

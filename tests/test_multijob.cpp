@@ -3,14 +3,20 @@
 // locality checks for two jobs sharing one simulator event loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "cluster/multi_job.hpp"
 #include "cluster/scheduler.hpp"
 #include "dnn/model_zoo.hpp"
+#include "net/flow_network.hpp"
 #include "net/topology.hpp"
 #include "ps/config.hpp"
+#include "ps/job_runtime.hpp"
+#include "sim/simulator.hpp"
 
 namespace prophet::cluster {
 namespace {
@@ -153,6 +159,74 @@ TEST(MultiJob, OutcomesCarryPlacementAndOffsets) {
     EXPECT_GE(job.finish_time.count_nanos(), job.start_offset.count_nanos());
     EXPECT_GT(job.result.events_fired, 0u);
   }
+}
+
+// Two 1-worker toy jobs striped over an oversubscribed spine, so both cross
+// rack0.up; each job's plan takes its own `link:rack0.up` outage.
+MultiJobConfig shared_uplink_config(const net::DynamicsPlan& job0,
+                                    const net::DynamicsPlan& job1) {
+  MultiJobConfig cfg;
+  cfg.topology = net::TopologySpec::leaf_spine(2, 2, Bandwidth::gbps(1), 4.0);
+  cfg.placement = PlacementPolicy::kFifoStripe;
+  cfg.interleave = InterleavePolicy::kNone;
+  for (const net::DynamicsPlan* plan : {&job0, &job1}) {
+    JobSpec job;
+    job.config.model = dnn::toy_cnn();
+    job.config.num_workers = 1;
+    job.config.batch = 32;
+    job.config.iterations = 14;
+    job.config.seed = 1 + cfg.jobs.size();
+    job.config.strategy = ps::StrategyConfig::fifo();
+    job.config.dynamics = *plan;
+    cfg.jobs.push_back(std::move(job));
+  }
+  return cfg;
+}
+
+// run_multi_job's setup and event loop with one probe: whether `link` is up
+// `at` into the run. Returns the makespan, which must match run_multi_job's.
+Duration run_probing(const MultiJobConfig& cfg, const std::string& link,
+                     Duration at, bool* up) {
+  sim::Simulator sim;
+  net::FlowNetwork network{sim, net::TcpCostModel{cfg.jobs.front().config.tcp}};
+  net::BuiltTopology topology{network, cfg.topology};
+  const auto placements = place_jobs(cfg.topology, cfg.jobs, cfg.placement);
+  std::vector<std::unique_ptr<ps::JobRuntime>> jobs;
+  for (std::size_t j = 0; j < cfg.jobs.size(); ++j) {
+    ps::ClusterConfig job = cfg.jobs[j].config;
+    job.topology = cfg.topology;
+    ps::JobOptions opts;
+    opts.name_prefix = "job" + std::to_string(j) + ".";
+    opts.ps_rack = placements[j].ps_rack;
+    opts.worker_racks = placements[j].worker_racks;
+    jobs.push_back(std::make_unique<ps::JobRuntime>(sim, network, topology,
+                                                    std::move(job), std::move(opts)));
+  }
+  const net::LinkId id = network.find_link(link).value();
+  sim.schedule_at(TimePoint::origin() + at, [&] { *up = network.link_state(id); });
+  const auto finish = ps::run_jobs(sim, jobs, cfg.horizon);
+  return *std::max_element(finish.begin(), finish.end());
+}
+
+// Jobs sharing a fabric each take one down-hold per outage window, so two
+// jobs' overlapping outages on one uplink keep it down until the later end.
+TEST(MultiJob, SharedLinkOutagesCompose) {
+  net::DynamicsPlan job0;
+  job0.link_outage(Duration::millis(100), Duration::millis(300), "rack0.up");
+  net::DynamicsPlan job1;
+  job1.link_outage(Duration::millis(200), Duration::millis(300), "rack0.up");
+  const MultiJobConfig both = shared_uplink_config(job0, job1);
+
+  bool up = true;
+  const Duration makespan = run_probing(both, "rack0.up", Duration::millis(450), &up);
+  EXPECT_FALSE(up);
+  const MultiJobResult result = run_multi_job(both);
+  EXPECT_EQ(result.makespan.count_nanos(), makespan.count_nanos());
+  EXPECT_GT(result.spine_bytes, 0);
+
+  const MultiJobResult later_alone =
+      run_multi_job(shared_uplink_config(net::DynamicsPlan{}, job1));
+  EXPECT_GT(result.makespan.count_nanos(), later_alone.makespan.count_nanos());
 }
 
 }  // namespace

@@ -9,7 +9,12 @@
 // every run observed its injected faults, and every replay fingerprint
 // matched. A second block of cells runs two jobs on one shared
 // oversubscribed leaf-spine fabric and holds the combined run to the same
-// replay-fingerprint bar. Wired into ctest under the `chaos` label.
+// replay-fingerprint bar. A third, the outage block, overlaps link-down
+// windows: a single-PS cell whose PS outage encloses a PS crash, and a
+// two-job cell whose jobs both take outages on the shared rack uplink. Each
+// window is one down-hold on its links, so neither the crash's recovery nor
+// the first job's outage end may bring a link up early. Wired into ctest
+// under the `chaos` label.
 //
 // Every (strategy × seed) and multijob cell is independent, so the matrix
 // fans out across cores through exec::parallel_for_index; each cell buffers
@@ -102,6 +107,24 @@ void appendf(std::string& s, const char* fmt, ...) {
   if (n > 0) s.append(buf, static_cast<std::size_t>(n));
 }
 
+// The small 2-worker toy_cnn job every single-job cell runs.
+ps::ClusterConfig base_config(const ps::StrategyConfig& strategy,
+                              std::uint64_t seed, std::size_t iterations) {
+  ps::ClusterConfig cfg;
+  cfg.model = dnn::toy_cnn();
+  cfg.num_workers = 2;
+  cfg.batch = 32;
+  cfg.iterations = iterations;
+  cfg.seed = seed;
+  cfg.topology = net::TopologySpec::star(Bandwidth::gbps(1), Bandwidth::gbps(1));
+  cfg.strategy = strategy;
+  cfg.strategy.prophet_config.profile_iterations = 4;
+  cfg.reliability.retry_budget = 64;
+  cfg.checkpoint_period = 40_ms;
+  cfg.keep_transfer_records = true;  // the fingerprint hashes every record
+  return cfg;
+}
+
 // One strategy x seed cell: a small 2-worker toy_cnn job with a fault plan
 // drawn from the seed. All fault instants stay under ~200 ms so they land
 // mid-training for every strategy (the fastest finishes in ~260 ms). The
@@ -110,19 +133,8 @@ void appendf(std::string& s, const char* fmt, ...) {
 // (partial rollback), single-PS cells periodically lose the whole tier.
 ps::ClusterConfig chaos_config(const ps::StrategyConfig& strategy,
                                std::uint64_t seed, std::size_t iterations) {
-  ps::ClusterConfig cfg;
-  cfg.model = dnn::toy_cnn();
-  cfg.num_workers = 2;
-  cfg.batch = 32;
-  cfg.iterations = iterations;
-  cfg.seed = seed;
+  ps::ClusterConfig cfg = base_config(strategy, seed, iterations);
   cfg.ps_shards = 1 + seed % 3;
-  cfg.topology = net::TopologySpec::star(Bandwidth::gbps(1), Bandwidth::gbps(1));
-  cfg.strategy = strategy;
-  cfg.strategy.prophet_config.profile_iterations = 4;
-  cfg.reliability.retry_budget = 64;
-  cfg.checkpoint_period = 40_ms;
-  cfg.keep_transfer_records = true;  // the fingerprint hashes every record
 
   // The plan RNG is independent of the simulation seed stream on purpose:
   // the same seed must drive both the fault plan and the run.
@@ -146,6 +158,24 @@ ps::ClusterConfig chaos_config(const ps::StrategyConfig& strategy,
   return cfg;
 }
 
+// Outage-block PS cell: a single-PS tier whose PS outage window encloses a
+// PS crash and its failover, so the PS links stay down from the outage start
+// to its end whatever the crash does in between.
+ps::ClusterConfig ps_outage_config(const ps::StrategyConfig& strategy,
+                                   std::uint64_t seed, std::size_t iterations) {
+  ps::ClusterConfig cfg = base_config(strategy, seed, iterations);
+  Rng plan{seed ^ 0x0a7a6eu};
+  const Duration outage_at = Duration::millis(plan.uniform_int(60, 120));
+  const Duration crash_at = outage_at + Duration::millis(plan.uniform_int(10, 60));
+  const Duration failover = Duration::millis(plan.uniform_int(15, 35));
+  const Duration outage_end =
+      crash_at + failover + Duration::millis(plan.uniform_int(10, 80));
+  cfg.dynamics.ps_outage(outage_at, outage_end - outage_at);
+  cfg.dynamics.ps_crash(crash_at, failover);
+  cfg.dynamics.sort();
+  return cfg;
+}
+
 // What one cell hands back to the merge step: buffered stdout/stderr text
 // plus the aggregates the matrix-level checks need.
 struct ChaosCell {
@@ -155,16 +185,18 @@ struct ChaosCell {
   std::size_t retries = 0;
 };
 
-ChaosCell run_matrix_cell(const ps::StrategyConfig& strategy, std::uint64_t seed,
-                          std::size_t iterations, bool verbose) {
+// One single-job cell: `label` names it in diagnostics and --verbose lines.
+ChaosCell run_cluster_cell(const std::string& label, const ps::ClusterConfig& cfg,
+                           bool verbose) {
   ChaosCell cell;
-  const auto cfg = chaos_config(strategy, seed, iterations);
+  const std::uint64_t seed = cfg.seed;
+  const std::size_t iterations = cfg.iterations;
   const auto first = ps::run_cluster(cfg, 1);
   const auto replay = ps::run_cluster(cfg, 1);
   const std::uint64_t fp = fingerprint(first);
   if (fp != fingerprint(replay)) {
     appendf(cell.err, "chaos_run: REPLAY DIVERGED strategy=%s seed=%llu\n",
-            strategy.name().c_str(), static_cast<unsigned long long>(seed));
+            label.c_str(), static_cast<unsigned long long>(seed));
     cell.ok = false;
     return cell;
   }
@@ -173,17 +205,17 @@ ChaosCell run_matrix_cell(const ps::StrategyConfig& strategy, std::uint64_t seed
       appendf(cell.err,
               "chaos_run: INCOMPLETE strategy=%s seed=%llu worker=%zu "
               "finished %zu/%zu iterations\n",
-              strategy.name().c_str(), static_cast<unsigned long long>(seed),
+              label.c_str(), static_cast<unsigned long long>(seed),
               w.id, w.iterations_completed, iterations);
       cell.ok = false;
       return cell;
     }
   }
-  // Every plan contains at least a worker crash; a run that recorded no
+  // Every plan contains at least one crash; a run that recorded no
   // fault means the injection silently missed the training window.
   if (total_faults(first) == 0) {
     appendf(cell.err, "chaos_run: NO FAULTS LANDED strategy=%s seed=%llu\n",
-            strategy.name().c_str(), static_cast<unsigned long long>(seed));
+            label.c_str(), static_cast<unsigned long long>(seed));
     cell.ok = false;
     return cell;
   }
@@ -197,7 +229,7 @@ ChaosCell run_matrix_cell(const ps::StrategyConfig& strategy, std::uint64_t seed
         appendf(cell.err,
                 "chaos_run: PS FAILOVER MISSED strategy=%s seed=%llu "
                 "worker=%zu saw %zu failovers\n",
-                strategy.name().c_str(), static_cast<unsigned long long>(seed),
+                label.c_str(), static_cast<unsigned long long>(seed),
                 w.id, failovers);
         cell.ok = false;
         return cell;
@@ -209,7 +241,7 @@ ChaosCell run_matrix_cell(const ps::StrategyConfig& strategy, std::uint64_t seed
     appendf(cell.out,
             "%-14s seed=%-3llu time=%.3fs faults=%zu retries=%zu "
             "audit_checks=%zu fp=%016llx\n",
-            strategy.name().c_str(), static_cast<unsigned long long>(seed),
+            label.c_str(), static_cast<unsigned long long>(seed),
             first.simulated_time.to_seconds(), total_faults(first),
             total_retries(first), first.audit_checks,
             static_cast<unsigned long long>(fp));
@@ -234,9 +266,7 @@ std::uint64_t multijob_fingerprint(const cluster::MultiJobResult& result) {
   return h;
 }
 
-ChaosCell run_multijob_cell(std::uint64_t seed, std::size_t iterations,
-                            bool verbose) {
-  ChaosCell cell;
+cluster::MultiJobConfig multijob_config(std::uint64_t seed, std::size_t iterations) {
   cluster::MultiJobConfig cfg;
   cfg.topology = net::TopologySpec::leaf_spine(
       /*racks=*/2, /*hosts_per_rack=*/2, Bandwidth::gbps(1),
@@ -256,6 +286,30 @@ ChaosCell run_multijob_cell(std::uint64_t seed, std::size_t iterations,
     job.config.keep_transfer_records = true;
     cfg.jobs.push_back(std::move(job));
   }
+  return cfg;
+}
+
+// Outage-block two-job cell: each job takes an outage on rack0.up, which
+// both jobs' PS-to-worker pulls cross, and the second window opens inside
+// the first, so the uplink holds two down-holds while they overlap.
+cluster::MultiJobConfig multijob_outage_config(std::uint64_t seed,
+                                               std::size_t iterations) {
+  cluster::MultiJobConfig cfg = multijob_config(seed, iterations);
+  Rng plan{seed ^ 0x5b1ce0u};
+  const Duration first_at = Duration::millis(plan.uniform_int(50, 120));
+  const Duration first_len = Duration::millis(plan.uniform_int(100, 200));
+  const Duration second_at = first_at + Duration::millis(plan.uniform_int(20, 90));
+  const Duration second_len = Duration::millis(plan.uniform_int(50, 200));
+  cfg.jobs[0].config.dynamics.link_outage(first_at, first_len, "rack0.up");
+  cfg.jobs[1].config.dynamics.link_outage(second_at, second_len, "rack0.up");
+  return cfg;
+}
+
+// One multi-job cell: `label` names it in diagnostics and --verbose lines.
+ChaosCell run_multijob_cell(const std::string& label,
+                            const cluster::MultiJobConfig& cfg, bool verbose) {
+  ChaosCell cell;
+  const std::uint64_t seed = cfg.jobs.front().config.seed;
   const auto first = cluster::run_multi_job(cfg);
   const auto replay = cluster::run_multi_job(cfg);
   const std::uint64_t fp = multijob_fingerprint(first);
@@ -264,6 +318,20 @@ ChaosCell run_multijob_cell(std::uint64_t seed, std::size_t iterations,
             static_cast<unsigned long long>(seed));
     cell.ok = false;
     return cell;
+  }
+  for (std::size_t j = 0; j < first.jobs.size(); ++j) {
+    const std::size_t iterations = cfg.jobs[j].config.iterations;
+    for (const auto& w : first.jobs[j].result.workers) {
+      if (w.iterations_completed != iterations) {
+        appendf(cell.err,
+                "chaos_run: INCOMPLETE %s seed=%llu job=%zu worker=%zu "
+                "finished %zu/%zu iterations\n",
+                label.c_str(), static_cast<unsigned long long>(seed), j, w.id,
+                w.iterations_completed, iterations);
+        cell.ok = false;
+        return cell;
+      }
+    }
   }
   if (first.spine_bytes == 0) {
     appendf(cell.err,
@@ -275,8 +343,9 @@ ChaosCell run_multijob_cell(std::uint64_t seed, std::size_t iterations,
   }
   if (verbose) {
     appendf(cell.out,
-            "multijob       seed=%-3llu makespan=%.3fs spine=%lld fp=%016llx\n",
-            static_cast<unsigned long long>(seed), first.makespan.to_seconds(),
+            "%-14s seed=%-3llu makespan=%.3fs spine=%lld fp=%016llx\n",
+            label.c_str(), static_cast<unsigned long long>(seed),
+            first.makespan.to_seconds(),
             static_cast<long long>(first.spine_bytes),
             static_cast<unsigned long long>(fp));
   }
@@ -290,9 +359,11 @@ int run_chaos(std::size_t seeds, std::size_t iterations, unsigned threads,
       ps::StrategyConfig::bytescheduler(), ps::StrategyConfig::prophet()};
 
   // Canonical cell order (the serial-loop order): strategy-major matrix
-  // cells, then the multijob block.
+  // cells, then the multijob block, then the outage block (per seed, its PS
+  // cell, which rotates through the strategies, then its two-job cell).
   const std::size_t matrix_cells = strategies.size() * seeds;
-  const std::size_t n_cells = matrix_cells + seeds;
+  const std::size_t outage_first = matrix_cells + seeds;
+  const std::size_t n_cells = outage_first + 2 * seeds;
   std::vector<ChaosCell> cells(n_cells);
   exec::parallel_for_index(
       n_cells,
@@ -300,10 +371,23 @@ int run_chaos(std::size_t seeds, std::size_t iterations, unsigned threads,
         if (i < matrix_cells) {
           const auto& strategy = strategies[i / seeds];
           const std::uint64_t seed = 1 + i % seeds;
-          cells[i] = run_matrix_cell(strategy, seed, iterations, verbose);
-        } else {
+          cells[i] = run_cluster_cell(
+              strategy.name(), chaos_config(strategy, seed, iterations), verbose);
+        } else if (i < outage_first) {
           const std::uint64_t seed = 1 + (i - matrix_cells);
-          cells[i] = run_multijob_cell(seed, iterations, verbose);
+          cells[i] =
+              run_multijob_cell("multijob", multijob_config(seed, iterations), verbose);
+        } else {
+          const std::uint64_t seed = 1 + (i - outage_first) / 2;
+          if ((i - outage_first) % 2 == 0) {
+            const auto& strategy = strategies[(seed - 1) % strategies.size()];
+            cells[i] = run_cluster_cell(
+                "outage/" + strategy.name(),
+                ps_outage_config(strategy, seed, iterations), verbose);
+          } else {
+            cells[i] = run_multijob_cell(
+                "outage/2jobs", multijob_outage_config(seed, iterations), verbose);
+          }
         }
       },
       threads);
@@ -329,6 +413,7 @@ int run_chaos(std::size_t seeds, std::size_t iterations, unsigned threads,
   std::printf("chaos_run: %zu runs x2 replays clean (%zu transport retries)\n",
               matrix_cells, retries_total);
   std::printf("chaos_run: %zu multijob cells x2 replays clean\n", seeds);
+  std::printf("chaos_run: %zu outage cells x2 replays clean\n", 2 * seeds);
   return 0;
 }
 

@@ -9,6 +9,13 @@
 // pushes the incremental engine off its rate-group fast path (speedup
 // collapsing toward 1.0x) trips the gate regardless of the runner.
 //
+// Each of those cells must also reproduce the baseline's deterministic
+// counters exactly (simulated events and both arms' RebalanceStats). They do
+// not depend on the machine, so any change means the engine took a different
+// path: a fall off the rate-group fast path shows up as fewer group events
+// and more slow-path rebalances even when host noise hides it in the ratio.
+// A change that moves them on purpose recaptures the baseline.
+//
 // Only cells carrying both "workers" and "speedup" participate: the "sweep"
 // section's executor speedup depends on the runner's core count, and
 // incremental-only cells (star_4096) have no full arm to ratio against. A
@@ -16,6 +23,7 @@
 // dropped cell must not pass the gate.
 //
 // Usage: scale_ratchet BASELINE.json CURRENT.json [MIN_RATIO]
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -40,6 +48,10 @@ int main(int argc, char** argv) {
 
   const BenchJson baseline{baseline_path};
   const BenchJson current{current_path};
+  constexpr std::array<const char*, 9> kCounters = {
+      "events",           "rebalances",         "component_flows", "flows_settled",
+      "full_rebalances",  "full_flows_settled", "group_forms",     "group_dissolves",
+      "group_fast_events"};
 
   bool ok = true;
   int cells = 0;
@@ -60,6 +72,14 @@ int main(int argc, char** argv) {
     std::printf("  %-16s %9.2fx %9.2fx %7.2f  %s\n", cell.c_str(), base, cur,
                 ratio, pass ? "ok" : "FAIL");
     if (!pass) ok = false;
+    for (const char* counter : kCounters) {
+      const double want = baseline.get(cell, counter);
+      const double got = current.get(cell, counter);
+      if (got == want) continue;  // NaN (missing on either side) fails too
+      std::printf("  %-16s %-20s baseline %.0f current %.0f  FAIL (counter)\n",
+                  cell.c_str(), counter, want, got);
+      ok = false;
+    }
   }
   if (cells == 0) {
     std::fprintf(stderr, "scale_ratchet: no ratchetable cells in %s\n",
@@ -68,8 +88,9 @@ int main(int argc, char** argv) {
   }
   if (!ok) {
     std::fprintf(stderr,
-                 "scale_ratchet: speedup regressed below %.2fx of the committed "
-                 "baseline (%s)\n",
+                 "scale_ratchet: a speedup regressed below %.2fx of, or a "
+                 "deterministic counter differs from, the committed baseline "
+                 "(%s)\n",
                  min_ratio, baseline_path.c_str());
   }
   return ok ? 0 : 1;
