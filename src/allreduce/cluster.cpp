@@ -73,7 +73,7 @@ ps::ClusterResult run_allreduce(const ps::ClusterConfig& cfg,
   for (std::size_t w = 0; w < cfg.num_workers; ++w) {
     workers.push_back(std::make_unique<Worker>(
         sim, w, cfg.iterations, &iteration_model, &coordinator, cfg.batch,
-        cfg.metrics_bin, cfg.metrics_horizon, root.fork(w)));
+        cfg.metrics_bin, cfg.metrics_horizon, cfg.keep_transfer_records, root.fork(w)));
   }
   for (auto& worker : workers) worker->start();
 
@@ -99,21 +99,21 @@ ps::ClusterResult run_allreduce(const ps::ClusterConfig& cfg,
   result.simulated_time = span;
   result.events_fired = sim.events_fired();
   result.rebalance = network.rebalance_stats();
+  result.workers.reserve(workers.size());
   for (std::size_t w = 0; w < workers.size(); ++w) {
-    const Worker& worker = *workers[w];
+    Worker& worker = *workers[w];
     const auto& tm = worker.training_metrics();
     result.workers.push_back(
         {.id = w,
          .rate_samples_per_sec = tm.rate_samples_per_sec(first, last),
-         .gpu_utilization = worker.gpu().utilization(tm.iteration_start(first),
-                                                     tm.iteration_start(last)),
+         .gpu_utilization = worker.gpu().utilization(first, last),
          .iterations_completed = worker.current_iteration(),
          .prophet_activated_at = std::nullopt,
          .prophet_replans = 0,
          .training = tm,
          .transfers = {},
-         .gpu_series = worker.gpu().series(),
-         .gpu_intervals = worker.gpu().intervals(),
+         .gpu_series = worker.gpu().take_series(),
+         .gpu_intervals = worker.gpu().take_intervals(),
          .tx_series = {},
          .rx_series = {}});
   }

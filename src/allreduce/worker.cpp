@@ -8,7 +8,8 @@ namespace prophet::ar {
 
 Worker::Worker(sim::Simulator& sim, std::size_t id, std::size_t iterations,
                const dnn::IterationModel* iteration_model, Coordinator* coordinator,
-               int batch, Duration metrics_bin, Duration metrics_horizon, Rng rng)
+               int batch, Duration metrics_bin, Duration metrics_horizon,
+               bool keep_gpu_intervals, Rng rng)
     : sim_{sim},
       id_{id},
       iterations_{iterations},
@@ -16,7 +17,7 @@ Worker::Worker(sim::Simulator& sim, std::size_t id, std::size_t iterations,
       coordinator_{coordinator},
       rng_{rng},
       training_{batch},
-      gpu_{metrics_bin, metrics_horizon} {
+      gpu_{metrics_bin, metrics_horizon, keep_gpu_intervals} {
   PROPHET_CHECK(iteration_model_ != nullptr);
   PROPHET_CHECK(coordinator_ != nullptr);
   reduced_.assign(iteration_model_->model().tensor_count(), 0);
@@ -26,6 +27,7 @@ void Worker::start() { begin_iteration(); }
 
 void Worker::begin_iteration() {
   training_.mark_iteration_start(iter_, sim_.now());
+  gpu_.mark_iteration(iter_, sim_.now());
   if (done()) return;
   timing_ = iteration_model_->sample(rng_);
   fwd_layer_ = 0;

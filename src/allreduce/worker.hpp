@@ -17,9 +17,12 @@ namespace prophet::ar {
 
 class Worker {
  public:
+  // `keep_gpu_intervals` keeps the raw GPU busy intervals
+  // (ClusterConfig::keep_transfer_records).
   Worker(sim::Simulator& sim, std::size_t id, std::size_t iterations,
          const dnn::IterationModel* iteration_model, Coordinator* coordinator,
-         int batch, Duration metrics_bin, Duration metrics_horizon, Rng rng);
+         int batch, Duration metrics_bin, Duration metrics_horizon,
+         bool keep_gpu_intervals, Rng rng);
   Worker(const Worker&) = delete;
   Worker& operator=(const Worker&) = delete;
 
@@ -33,7 +36,8 @@ class Worker {
   [[nodiscard]] const metrics::TrainingMetrics& training_metrics() const {
     return training_;
   }
-  [[nodiscard]] const metrics::GpuTracker& gpu() const { return gpu_; }
+  // Result hand-off (run_allreduce moves the GPU timeline out).
+  [[nodiscard]] metrics::GpuTracker& gpu() { return gpu_; }
 
  private:
   void begin_iteration();

@@ -6,7 +6,8 @@
 
 namespace prophet::metrics {
 
-GpuTracker::GpuTracker(Duration bin, Duration horizon) : series_{bin, horizon} {}
+GpuTracker::GpuTracker(Duration bin, Duration horizon, bool keep_intervals)
+    : series_{bin, horizon}, keep_intervals_{keep_intervals} {}
 
 void GpuTracker::busy_from(TimePoint start) {
   PROPHET_CHECK_MSG(!busy_since_.has_value(), "GPU already busy");
@@ -18,36 +19,38 @@ void GpuTracker::idle_from(TimePoint end) {
   PROPHET_CHECK(end >= *busy_since_);
   series_.add_interval(*busy_since_, end);
   total_busy_ += end - *busy_since_;
-  checkpoints_.emplace_back(end, total_busy_);
-  // Merge with the previous interval when contiguous (adjacent forward
-  // layers produce zero-length idle gaps).
-  if (!intervals_.empty() && intervals_.back().second == *busy_since_) {
-    intervals_.back().second = end;
-  } else if (end > *busy_since_) {
-    intervals_.emplace_back(*busy_since_, end);
+  // An edge at a mark's own instant belongs to the busy time before it.
+  for (auto it = marks_.rbegin(); it != marks_.rend() && it->at == end; ++it) {
+    it->busy = total_busy_;
+  }
+  if (keep_intervals_) {
+    // Merge with the previous interval when contiguous (adjacent forward
+    // layers produce zero-length idle gaps).
+    if (!intervals_.empty() && intervals_.back().second == *busy_since_) {
+      intervals_.back().second = end;
+    } else if (end > *busy_since_) {
+      intervals_.emplace_back(*busy_since_, end);
+    }
   }
   busy_since_.reset();
+}
+
+void GpuTracker::mark_iteration(std::size_t iter, TimePoint at) {
+  PROPHET_CHECK_MSG(iter <= marks_.size(), "iterations must be marked in order");
+  marks_.resize(iter);
+  marks_.push_back({at, total_busy_});
 }
 
 void GpuTracker::finish(TimePoint now) {
   if (busy_since_.has_value()) idle_from(now);
 }
 
-double GpuTracker::utilization(TimePoint from, TimePoint to) const {
-  PROPHET_CHECK(to > from);
-  // Busy time before a point: last checkpoint at or before it, plus nothing
-  // (idle) — interval-edge resolution is adequate for windows spanning many
-  // iterations, which is how the paper reports utilization.
-  auto busy_before = [this](TimePoint t) -> Duration {
-    Duration best{};
-    for (const auto& [at, busy] : checkpoints_) {
-      if (at <= t) best = busy;
-      else break;
-    }
-    return best;
-  };
-  const Duration busy = busy_before(to) - busy_before(from);
-  return std::clamp(busy / (to - from), 0.0, 1.0);
+double GpuTracker::utilization(std::size_t first, std::size_t last) const {
+  PROPHET_CHECK(first < last && last < marks_.size());
+  const Mark& from = marks_[first];
+  const Mark& to = marks_[last];
+  PROPHET_CHECK(to.at > from.at);
+  return std::clamp((to.busy - from.busy) / (to.at - from.at), 0.0, 1.0);
 }
 
 }  // namespace prophet::metrics

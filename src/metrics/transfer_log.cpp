@@ -15,6 +15,7 @@ void TransferLog::record(const TransferRecord& rec) {
   transfer_ms_.add(transfer);
 
   if (rec.grad >= per_gradient_.size()) {
+    if (per_gradient_.empty()) per_gradient_.reserve(gradients_);
     const std::size_t old_size = per_gradient_.size();
     per_gradient_.resize(rec.grad + 1);
     for (std::size_t g = old_size; g < per_gradient_.size(); ++g) {

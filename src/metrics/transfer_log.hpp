@@ -79,10 +79,16 @@ class TransferLog {
   // Counts records and keeps faults only: the log of a run without pushes
   // (the all-reduce ring's).
   TransferLog() = default;
-  // Streams the pushes of iterations [first_iter, last_iter); also keeps
-  // every raw record when `keep_records`. Allocates nothing up front.
-  TransferLog(std::size_t first_iter, std::size_t last_iter, bool keep_records)
-      : first_{first_iter}, last_{last_iter}, keep_records_{keep_records} {}
+  // Streams the pushes of iterations [first_iter, last_iter) of a model with
+  // `gradients` tensors; also keeps every raw record when `keep_records`.
+  // Allocates nothing up front: the first window push reserves one summary
+  // per gradient.
+  TransferLog(std::size_t first_iter, std::size_t last_iter, std::size_t gradients,
+              bool keep_records)
+      : first_{first_iter},
+        last_{last_iter},
+        gradients_{gradients},
+        keep_records_{keep_records} {}
 
   void record(const TransferRecord& rec);
   // Marks the backward start of `iteration`, the reference point of its
@@ -117,6 +123,7 @@ class TransferLog {
  private:
   std::size_t first_ = 0;
   std::size_t last_ = 0;
+  std::size_t gradients_ = 0;
   bool keep_records_ = false;
   std::size_t count_ = 0;
   RunningStats wait_ms_;

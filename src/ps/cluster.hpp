@@ -37,7 +37,8 @@ struct WorkerResult {
   // ClusterConfig::keep_transfer_records.
   metrics::TransferLog transfers;
   BinnedSeries gpu_series;
-  // Raw GPU busy intervals (trace export).
+  // Raw GPU busy intervals, contiguous ones merged (trace export); empty
+  // unless ClusterConfig::keep_transfer_records.
   std::vector<std::pair<TimePoint, TimePoint>> gpu_intervals;
   BinnedSeries tx_series;
   BinnedSeries rx_series;

@@ -90,9 +90,11 @@ struct ClusterConfig {
   // Each worker's TransferLog streams its push summaries (overall() and
   // per_gradient()) over the run's measurement window and counts every
   // record; it keeps the raw TransferRecords — 64 bytes per tensor,
-  // direction and iteration — only when this is set. Readers of records()
-  // opt in: run_experiment --trace (the Chrome trace export),
-  // trace_explorer and chaos_run.
+  // direction and iteration — only when this is set. The same switch keeps
+  // each worker's raw GPU busy intervals (WorkerResult::gpu_intervals, PS
+  // and ring runs alike); utilization and the GPU series never need them.
+  // Readers of records() or gpu_intervals opt in: run_experiment --trace
+  // (the Chrome trace export), trace_explorer and chaos_run.
   bool keep_transfer_records = false;
 
   // Utilization / throughput series resolution and horizon.

@@ -300,8 +300,7 @@ ClusterResult JobRuntime::collect(std::optional<std::size_t> measure_first,
     result.workers.push_back(WorkerResult{
         .id = w,
         .rate_samples_per_sec = tm.rate_samples_per_sec(first, last),
-        .gpu_utilization = worker.gpu().utilization(tm.iteration_start(first),
-                                                    tm.iteration_start(last)),
+        .gpu_utilization = worker.gpu().utilization(first, last),
         .iterations_completed = worker.current_iteration(),
         .prophet_activated_at = worker.prophet_activated_at(),
         .prophet_replans = worker.prophet_replans(),

@@ -23,6 +23,12 @@ void export_chrome_trace(const ClusterResult& result, const std::string& path) {
                        std::to_string(worker.transfers.records().size()) +
                        "; run with ClusterConfig::keep_transfer_records = true")
                           .c_str());
+    // A ring result counts no records, so its GPU lane is the tell.
+    PROPHET_CHECK_MSG(worker.iterations_completed == 0 || !worker.gpu_intervals.empty(),
+                      ("export_chrome_trace: worker " + std::to_string(worker.id) +
+                       " trained but kept no GPU busy intervals; run with "
+                       "ClusterConfig::keep_transfer_records = true")
+                          .c_str());
   }
   metrics::ChromeTraceWriter trace{path};
   for (const auto& worker : result.workers) {

@@ -12,9 +12,11 @@
 //     "worker_recover" (process loss and restart), "ps_crash" /
 //     "ps_failover" (parameter-server loss and checkpoint restore).
 //
-// The push and pull lanes replay the raw transfer records, so the run needs
-// ClusterConfig::keep_transfer_records; a result whose logs counted records
-// they did not keep aborts before the file is opened.
+// The GPU lane replays the raw busy intervals and the push and pull lanes
+// the raw transfer records; both are kept only under
+// ClusterConfig::keep_transfer_records. A result whose logs counted records
+// they did not keep, or whose trained workers kept no busy interval (a ring
+// run counts no records), aborts before the file is opened.
 #pragma once
 
 #include <string>

@@ -14,15 +14,15 @@ Worker::Worker(sim::Simulator& sim, net::FlowNetwork& network, Params params, Rn
       params_{std::move(params)},
       rng_{rng},
       training_{params_.batch},
-      gpu_{params_.metrics_bin, params_.metrics_horizon},
-      transfer_log_{params_.measure_first, params_.iterations,
-                    params_.keep_transfer_records} {
+      gpu_{params_.metrics_bin, params_.metrics_horizon, params_.keep_transfer_records} {
   PROPHET_CHECK(params_.iteration_model != nullptr);
   PROPHET_CHECK(params_.server != nullptr);
   PROPHET_CHECK_MSG(!params_.ps_nodes.empty(), "worker needs at least one PS endpoint");
   PROPHET_CHECK_MSG(params_.ps_nodes.size() == params_.server->num_shards(),
                     "worker endpoint count must match the server's shard count");
   const std::size_t n = params_.iteration_model->model().tensor_count();
+  transfer_log_ = metrics::TransferLog{params_.measure_first, params_.iterations, n,
+                                       params_.keep_transfer_records};
 
   // Each channel owns its own RNG stream: transport loss draws must not
   // shift the compute-jitter sequence (fork draws nothing, so a loss-free
@@ -101,6 +101,7 @@ void Worker::begin_iteration() {
     params_.auditor->on_iteration_start(params_.id, iter_, sim_.now());
   }
   training_.mark_iteration_start(iter_, sim_.now());
+  gpu_.mark_iteration(iter_, sim_.now());
   if (done()) return;  // final boundary recorded; no more compute
   timing_ = params_.iteration_model->sample(rng_);
   if (compute_factor_ != 1.0) {

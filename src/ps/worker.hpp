@@ -129,7 +129,6 @@ class Worker {
   [[nodiscard]] const metrics::TrainingMetrics& training_metrics() const {
     return training_;
   }
-  [[nodiscard]] const metrics::GpuTracker& gpu() const { return gpu_; }
   // Result hand-off (JobRuntime::collect moves the GPU timeline out).
   [[nodiscard]] metrics::GpuTracker& gpu() { return gpu_; }
   // Result hand-off: moves the transfer log out instead of copying it; the

@@ -212,7 +212,8 @@ TEST(ClusterIntegration, ThroughputSeriesAccountsAllTrafficOfWorker) {
 // trackers leave the shared network before their series move out.
 TEST(JobRuntimeDeathTest, CollectIsSingleUse) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const ClusterConfig cfg = small_config(StrategyConfig::fifo());
+  ClusterConfig cfg = small_config(StrategyConfig::fifo());
+  cfg.keep_transfer_records = true;  // so the GPU intervals move too
   sim::Simulator sim;
   net::FlowNetwork network{sim, net::TcpCostModel{cfg.tcp}};
   net::BuiltTopology topology{network, *cfg.topology};

@@ -21,6 +21,7 @@
 // event trajectories too. The flow and cluster goldens below therefore run
 // under BOTH modes against the same constants — if a future change moves one
 // mode but not the other, the failure pinpoints which engine diverged.
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -302,6 +303,18 @@ TEST(GoldenFlows, ChurnWithDynamicsTraceFullRebalance) {
 }
 
 // --- Full-cluster goldens ---------------------------------------------------
+// Besides events, simulated time and rate, each pins every worker's
+// gpu_utilization to its exact bits (captured before GpuTracker sampled the
+// busy total only at iteration starts).
+
+void expect_gpu_bits(const ps::ClusterResult& result,
+                     const std::vector<std::uint64_t>& want) {
+  ASSERT_EQ(result.workers.size(), want.size());
+  for (std::size_t w = 0; w < want.size(); ++w) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(result.workers[w].gpu_utilization), want[w])
+        << "worker " << w << " gpu_utilization " << result.workers[w].gpu_utilization;
+  }
+}
 
 ps::ClusterResult run_golden_cluster(const ps::StrategyConfig& strategy,
                                      net::RebalanceMode mode) {
@@ -321,12 +334,16 @@ void expect_fifo_golden(const ps::ClusterResult& result) {
   EXPECT_EQ(result.events_fired, 36038u);
   EXPECT_EQ(result.simulated_time.count_nanos(), 11089550816);
   EXPECT_EQ(static_cast<std::int64_t>(result.mean_rate() * 100.0), 5618);
+  expect_gpu_bits(result, {0x3fe7af60e6ad7752ull, 0x3fe7a385a1e6b73full,
+                           0x3fe7a8fde2f8f19full});
 }
 
 void expect_prophet_golden(const ps::ClusterResult& result) {
   EXPECT_EQ(result.events_fired, 10838u);
   EXPECT_EQ(result.simulated_time.count_nanos(), 8484657037);
   EXPECT_EQ(static_cast<std::int64_t>(result.mean_rate() * 100.0), 7537);
+  expect_gpu_bits(result, {0x3fefc680a4cab82eull, 0x3fefb541f24e6efeull,
+                           0x3fefbcfecba43456ull});
 }
 
 TEST(GoldenCluster, FifoTrace) {
@@ -369,33 +386,42 @@ ps::ClusterResult run_golden_ring(const ps::StrategyConfig& strategy,
 }
 
 void expect_ring_golden(const ps::ClusterResult& result, std::int64_t sim_ns,
-                        std::int64_t rate_centi) {
+                        std::int64_t rate_centi,
+                        const std::vector<std::uint64_t>& gpu_bits) {
   EXPECT_EQ(result.simulated_time.count_nanos(), sim_ns);
   EXPECT_EQ(static_cast<std::int64_t>(result.mean_rate() * 100.0), rate_centi);
+  expect_gpu_bits(result, gpu_bits);
 }
+
+const std::vector<std::uint64_t> kFifoRingGpuBits = {
+    0x3fb6b96b6265a531ull, 0x3fb6a8f6fac777b8ull, 0x3fb6a780f8631363ull,
+    0x3fb6b947cd0a2a1dull};
+const std::vector<std::uint64_t> kProphetRingGpuBits = {
+    0x3fdb9763181c821aull, 0x3fdb80cc05a3796dull, 0x3fdb84fc38b0c1a8ull,
+    0x3fdb9712744ade47ull};
 
 TEST(GoldenAllReduce, FifoRing) {
   expect_ring_golden(
       run_golden_ring(ps::StrategyConfig::fifo(), net::RebalanceMode::kIncremental),
-      1226575309, 23712);
+      1226575309, 23712, kFifoRingGpuBits);
 }
 
 TEST(GoldenAllReduce, FifoRingFullRebalance) {
   expect_ring_golden(
       run_golden_ring(ps::StrategyConfig::fifo(), net::RebalanceMode::kFull),
-      1226575309, 23712);
+      1226575309, 23712, kFifoRingGpuBits);
 }
 
 TEST(GoldenAllReduce, ProphetRing) {
   expect_ring_golden(
       run_golden_ring(ps::StrategyConfig::prophet(), net::RebalanceMode::kIncremental),
-      262112264, 115169);
+      262112264, 115169, kProphetRingGpuBits);
 }
 
 TEST(GoldenAllReduce, ProphetRingFullRebalance) {
   expect_ring_golden(
       run_golden_ring(ps::StrategyConfig::prophet(), net::RebalanceMode::kFull),
-      262112264, 115169);
+      262112264, 115169, kProphetRingGpuBits);
 }
 
 // Two toy_cnn jobs (FIFO, Prophet) striped over a 2x4 leaf-spine with
@@ -423,6 +449,10 @@ void expect_multi_job_golden(net::RebalanceMode mode) {
   ASSERT_EQ(result.jobs.size(), 2u);
   EXPECT_EQ(static_cast<std::int64_t>(result.jobs[0].result.mean_rate() * 100.0), 58786);
   EXPECT_EQ(static_cast<std::int64_t>(result.jobs[1].result.mean_rate() * 100.0), 153514);
+  expect_gpu_bits(result.jobs[0].result, {0x3fcc2a2777ffed29ull, 0x3fcc1111e5e3587eull,
+                                          0x3fcc1b1b6efcb2e5ull});
+  expect_gpu_bits(result.jobs[1].result, {0x3fe263846322c43eull, 0x3fe25aabe371054full,
+                                          0x3fe25ca112581cadull});
 }
 
 TEST(GoldenMultiJob, StripedLeafSpineTrace) {

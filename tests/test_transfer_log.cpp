@@ -58,7 +58,7 @@ void expect_same_stats(const RunningStats& got, const RunningStats& want,
 TEST(TransferLog, ReplayedPushIsMeasuredFromTheMarkInForce) {
   // A PS failover rolls iteration 3 back: its backward pass runs again at
   // 1000 ms, and the replayed push lands 50 ms into it, as the first did.
-  TransferLog log{0, 10, false};
+  TransferLog log{0, 10, 1, false};
   log.mark_backward_start(3, at_ms(100));
   log.record(push(3, 0, 120, 150, 160));
   log.mark_backward_start(3, at_ms(1000));
@@ -75,8 +75,9 @@ TEST(TransferLog, ReplayedPushIsMeasuredFromTheMarkInForce) {
 }
 
 TEST(TransferLog, StreamsWindowPushesAndCountsEveryRecord) {
-  TransferLog log{2, 4, false};
-  // Nothing is allocated up front; storage grows on the first window push.
+  TransferLog log{2, 4, 8, false};
+  // Nothing is allocated up front; the first window push reserves one
+  // summary per gradient of the model.
   EXPECT_EQ(log.per_gradient().capacity(), 0u);
   EXPECT_EQ(log.records().capacity(), 0u);
 
@@ -91,7 +92,10 @@ TEST(TransferLog, StreamsWindowPushesAndCountsEveryRecord) {
   EXPECT_EQ(log.overall().count, 0u);
   EXPECT_FALSE(log.backward_start(1).has_value());  // outside the window
 
+  EXPECT_EQ(log.per_gradient().capacity(), 0u);
+
   log.record(push(2, 3, 100, 104, 110));  // no mark yet: no offsets
+  EXPECT_EQ(log.per_gradient().capacity(), 8u);
   log.mark_backward_start(3, at_ms(200));
   log.record(push(3, 1, 200, 202, 203));
   EXPECT_EQ(log.count(), 5u);
@@ -106,12 +110,33 @@ TEST(TransferLog, StreamsWindowPushesAndCountsEveryRecord) {
   EXPECT_DOUBLE_EQ(overall.mean_wait_ms, 3.0);
   EXPECT_DOUBLE_EQ(overall.mean_transfer_ms, 3.5);
 
-  TransferLog kept{2, 4, true};
+  TransferLog kept{2, 4, 8, true};
   kept.record(push(1, 5, 0, 10, 20));
   kept.record(push(2, 3, 100, 104, 110));
   ASSERT_EQ(kept.records().size(), 2u);
   EXPECT_EQ(kept.records()[0].iteration, 1u);
   EXPECT_EQ(kept.count(), 2u);
+}
+
+// The first window push reserves one summary per gradient of the model, so
+// a ResNet50 worker holds exactly its 161 summaries instead of a doubling
+// grown from whichever gradient it pushed first.
+TEST(TransferLog, ReservesOneSummaryPerModelGradient) {
+  ps::ClusterConfig cfg;
+  cfg.model = dnn::resnet50();
+  cfg.num_workers = 2;
+  cfg.batch = 64;
+  cfg.iterations = 6;
+  cfg.topology = net::TopologySpec::star(Bandwidth::gbps(3), Bandwidth::gbps(10));
+  cfg.strategy = ps::StrategyConfig::fifo();
+  const auto result = ps::run_cluster(cfg, 3);
+  ASSERT_EQ(cfg.model.tensor_count(), 161u);
+  for (const auto& w : result.workers) {
+    SCOPED_TRACE("worker " + std::to_string(w.id));
+    EXPECT_GT(w.transfers.overall().count, 0u);
+    EXPECT_EQ(w.transfers.per_gradient().size(), cfg.model.tensor_count());
+    EXPECT_EQ(w.transfers.per_gradient().capacity(), cfg.model.tensor_count());
+  }
 }
 
 ps::ClusterConfig small_config(ps::StrategyConfig strategy) {

@@ -2,6 +2,7 @@
 // constants baked into tests/test_engine_perf_invariants.cpp. Built with the
 // tree (not a test); from the repo root, after `cmake --build build`:
 //   ./build/tools/golden_capture
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <vector>
@@ -49,6 +50,17 @@ std::uint64_t hash_breakdown(const core::WaitTimeBreakdown& b) {
   for (auto d : b.update_done) h = fnv1a(h, static_cast<std::uint64_t>(d.count_nanos()));
   for (auto d : b.forward_done) h = fnv1a(h, static_cast<std::uint64_t>(d.count_nanos()));
   return h;
+}
+
+// Each worker's gpu_utilization as its exact IEEE-754 bits, in worker order.
+void print_gpu_bits(const ps::ClusterResult& result) {
+  std::printf(" gpu_bits=");
+  for (std::size_t w = 0; w < result.workers.size(); ++w) {
+    std::printf("%s0x%016llxull", w == 0 ? "" : ",",
+                (unsigned long long)std::bit_cast<std::uint64_t>(
+                    result.workers[w].gpu_utilization));
+  }
+  std::printf("\n");
 }
 
 core::GradientProfile model_profile(const dnn::ModelSpec& model) {
@@ -227,6 +239,8 @@ void capture_cluster(const char* name, const ps::StrategyConfig& strategy) {
               (unsigned long long)result.events_fired,
               (long long)result.simulated_time.count_nanos(),
               (long long)(result.mean_rate() * 100.0));
+  std::printf("cluster %s", name);
+  print_gpu_bits(result);
 }
 
 // A 4-worker toy_cnn ring, under both rebalance modes (which must agree).
@@ -245,6 +259,8 @@ void capture_allreduce(const char* name, const ps::StrategyConfig& strategy) {
     std::printf("allreduce %s mode=%d sim_ns=%lld rate_centi=%lld\n", name,
                 static_cast<int>(mode), (long long)result.simulated_time.count_nanos(),
                 (long long)(result.mean_rate() * 100.0));
+    std::printf("allreduce %s mode=%d", name, static_cast<int>(mode));
+    print_gpu_bits(result);
   }
 }
 
@@ -278,6 +294,10 @@ void capture_multi_job() {
                   (long long)(job.result.mean_rate() * 100.0));
     }
     std::printf("\n");
+    for (const auto& job : result.jobs) {
+      std::printf("multijob mode=%d %s", static_cast<int>(mode), job.name.c_str());
+      print_gpu_bits(job.result);
+    }
   }
 }
 
