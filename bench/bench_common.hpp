@@ -13,10 +13,10 @@
 
 namespace prophet::bench {
 
-// Machine-tracked perf ledger shared by perf_engine and micro_benchmarks:
-// a two-level {section -> {metric -> value}} JSON document. Writers update
-// their own sections and preserve everyone else's, so BENCH_engine.json
-// accumulates the full perf picture of the engine across tools.
+// Machine-tracked result ledger: a two-level {section -> {metric -> value}}
+// JSON document. The scale, fault_recovery and multijob benches write their
+// BENCH_*.json with it (updating their own sections and preserving everyone
+// else's), and scale_ratchet and fault_ratchet read them back.
 class BenchJson {
  public:
   // Loads `path` if it exists (tolerant of missing/empty files).

@@ -36,21 +36,20 @@ prophet_bench(table3_batchsize)
 prophet_bench(hetero_cluster)
 prophet_bench(dynamics_sensitivity)
 prophet_bench(ablation)
-prophet_bench(perf_engine)
 prophet_bench(extended_comparison)
 prophet_bench(allreduce_comparison)
 prophet_bench(fault_recovery)
 prophet_bench(multijob)
 prophet_bench(scale)
 
-# Microbenchmarks (google-benchmark): engine and Algorithm 1 costs. Uses a
-# custom main (not benchmark_main) so timings also land in BENCH_engine.json.
-add_executable(micro_benchmarks bench/micro_benchmarks.cpp $<TARGET_OBJECTS:prophet_bench_common>)
-target_include_directories(micro_benchmarks PRIVATE ${CMAKE_SOURCE_DIR}/src ${CMAKE_SOURCE_DIR}/bench)
+# Microbenchmarks (google-benchmark): engine and Algorithm 1 costs, printed
+# to the console.
+add_executable(micro_benchmarks bench/micro_benchmarks.cpp)
+target_include_directories(micro_benchmarks PRIVATE ${CMAKE_SOURCE_DIR}/src)
 target_link_libraries(micro_benchmarks PRIVATE
   prophet_ps prophet_core prophet_sched prophet_metrics prophet_dnn
-  prophet_net prophet_sim prophet_exec prophet_common prophet_warnings
-  benchmark::benchmark Threads::Threads)
+  prophet_net prophet_sim prophet_common prophet_warnings
+  benchmark::benchmark_main Threads::Threads)
 set_target_properties(micro_benchmarks PROPERTIES
   RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 
@@ -66,19 +65,12 @@ add_test(NAME bench_fig11_csv_pinned
            -DEXPECTED=${CMAKE_SOURCE_DIR}/bench_results/fig11_transfer_times.csv
            -P ${CMAKE_SOURCE_DIR}/bench/pin_csv.cmake)
 
-# Quick engine perf smoke: shrunk workloads, writes BENCH_engine_smoke.json
-# into the build tree (the tracked bench_results/BENCH_engine.json is only
-# rewritten by a full `perf_engine` run). Keeps the perf harness itself under
-# test without letting CI timing noise churn the committed artifact.
-add_test(NAME bench_perf_engine_smoke
-         COMMAND perf_engine --smoke --out ${CMAKE_BINARY_DIR}/BENCH_engine_smoke.json)
-
 # Engine-scaling smoke: shrunk cells, verifies both rebalance modes finish,
 # that the star cell's incremental arm replays the kFull simulation
 # byte-identically (same final nanosecond + event count), and that the sweep
-# executor's merged output is thread-count-independent. Same artifact policy
-# as above: the tracked BENCH_scale.json is only rewritten by a full `scale`
-# run.
+# executor's merged output is thread-count-independent. It writes into the
+# build tree, so CI timing noise never churns a committed artifact: the
+# tracked BENCH_scale.json is only rewritten by a full `scale` run.
 add_test(NAME bench_scale_smoke
          COMMAND scale --smoke --out ${CMAKE_BINARY_DIR}/BENCH_scale_smoke.json)
 # RUN_SERIAL: the ratchet consumes this test's timing ratios, so it must not

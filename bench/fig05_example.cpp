@@ -12,7 +12,6 @@
 #include "core/prophet_scheduler.hpp"
 #include "sched/bytescheduler.hpp"
 #include "sched/fifo.hpp"
-#include "sched/p3.hpp"
 #include "testing_profiles_fig5.hpp"
 
 namespace prophet::bench {
@@ -118,7 +117,9 @@ int run() {
          drive(fifo, arrivals, cost, bw));
   }
   {
-    sched::P3Scheduler p3{TaskKind::kPush, Bytes::mib(1), Duration::millis(1)};
+    sched::ByteSchedulerScheduler p3{
+        TaskKind::kPush,
+        sched::ByteSchedulerConfig::p3(Bytes::mib(1), Duration::millis(1))};
     show("P3: 1 MiB partitions, strict priority, one blocking call each",
          drive(p3, arrivals, cost, bw));
   }

@@ -1,18 +1,12 @@
 // Microbenchmarks (google-benchmark): the engine-level costs behind the
 // paper's "negligible runtime overhead" claim (Sec. 5.4) — Algorithm 1
 // planning runs in microseconds per iteration against iteration times of
-// hundreds of milliseconds.
-//
-// A custom main (instead of benchmark_main) additionally records every
-// benchmark's real_time/items-per-second into the shared BENCH_engine.json
-// artifact, so microbenchmark history rides the same file the perf_engine
-// harness maintains. Pass --out <path> to redirect (e.g. in CI smoke runs).
+// hundreds of milliseconds. Results print to the console; perf numbers that
+// are tracked across changes come from perfbench/.
 #include <benchmark/benchmark.h>
 
-#include <cstring>
-#include <string>
+#include <vector>
 
-#include "bench_common.hpp"
 #include "core/block_planner.hpp"
 #include "core/perf_model.hpp"
 #include "dnn/iteration_model.hpp"
@@ -121,57 +115,3 @@ BENCHMARK(BM_FullIterationSimulation)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace prophet
-
-namespace prophet::bench {
-namespace {
-
-// Console output as usual, plus per-benchmark real time (and items/s where
-// reported) captured into the "micro_benchmarks" section of the shared JSON.
-class JsonCaptureReporter : public benchmark::ConsoleReporter {
- public:
-  explicit JsonCaptureReporter(BenchJson* json) : json_{json} {}
-
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const auto& run : runs) {
-      if (run.error_occurred || run.run_type != Run::RT_Iteration) continue;
-      std::string key = run.benchmark_name();
-      for (char& c : key) {
-        if (c == '/' || c == ':') c = '_';
-      }
-      json_->set("micro_benchmarks", key + "_real_ns", run.GetAdjustedRealTime());
-      const auto items = run.counters.find("items_per_second");
-      if (items != run.counters.end()) {
-        json_->set("micro_benchmarks", key + "_items_per_sec",
-                   static_cast<double>(items->second));
-      }
-    }
-    ConsoleReporter::ReportRuns(runs);
-  }
-
- private:
-  BenchJson* json_;
-};
-
-}  // namespace
-}  // namespace prophet::bench
-
-int main(int argc, char** argv) {
-  std::string out_path = "bench_results/BENCH_engine.json";
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-      continue;
-    }
-    argv[kept++] = argv[i];
-  }
-  argc = kept;
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  prophet::bench::BenchJson json{out_path};
-  json.clear_section("micro_benchmarks");
-  prophet::bench::JsonCaptureReporter reporter{&json};
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  json.save();
-  return 0;
-}

@@ -106,6 +106,15 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // A negative count would wrap to a huge std::size_t below.
+  for (const char* count : {"workers", "ps-shards", "iterations", "profile-iters",
+                            "retry-budget", "jobs"}) {
+    if (flags->get(count, std::int64_t{0}) < 0) {
+      std::fprintf(stderr, "--%s must be non-negative\n", count);
+      return 1;
+    }
+  }
+
   ps::ClusterConfig cfg;
   cfg.model = dnn::model_by_name(flags->get("model", std::string{"resnet50"}));
   cfg.batch = static_cast<int>(flags->get("batch", std::int64_t{64}));

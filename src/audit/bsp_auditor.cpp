@@ -137,7 +137,6 @@ void BspAuditor::on_worker_crash(std::size_t w, TimePoint now) {
   check(w < num_workers_, "crash outside the cluster");
   check(down_[w] == 0, "worker crashed while already down");
   down_[w] = 1;
-  ++crashes_;
 }
 
 void BspAuditor::on_worker_recover(std::size_t w, TimePoint now) {
@@ -161,7 +160,6 @@ void BspAuditor::on_ps_crash(std::size_t shard, TimePoint now) {
   check(shard < ps_shards_, "PS crash outside the shard set");
   check(ps_shard_down_[shard] == 0, "PS shard crashed while already down");
   ps_shard_down_[shard] = 1;
-  ++crashes_;
   // The crash wipes the open round's state on this shard's keys server-side;
   // the wiped bytes (partial and full contributions alike) will never
   // aggregate, so they move to the shard's discarded ledger. Other shards'
@@ -206,7 +204,6 @@ void BspAuditor::on_rollback(std::size_t shard,
 void BspAuditor::on_transport_retry(std::size_t w, TimePoint now) {
   tick(now);
   check(w < num_workers_, "retry outside the cluster");
-  ++retries_;
 }
 
 void BspAuditor::finish(std::size_t expected_iterations) const {

@@ -75,8 +75,7 @@ class BspAuditor {
   void on_backward_start(std::size_t w, std::size_t iter, TimePoint now);
   void on_worker_crash(std::size_t w, TimePoint now);
   void on_worker_recover(std::size_t w, TimePoint now);
-  // A reliable-transport attempt failed and will be retried (counted so a
-  // chaos run can assert faults actually happened).
+  // A reliable-transport attempt failed and will be retried.
   void on_transport_retry(std::size_t w, TimePoint now);
 
   // End-of-run audit: every key at version `expected_iterations`, every
@@ -84,8 +83,6 @@ class BspAuditor {
   void finish(std::size_t expected_iterations) const;
 
   [[nodiscard]] std::uint64_t checks_run() const { return checks_; }
-  [[nodiscard]] std::uint64_t retries_seen() const { return retries_; }
-  [[nodiscard]] std::uint64_t crashes_seen() const { return crashes_; }
 
  private:
   // Advances the monotone clock (every hook routes through here).
@@ -116,8 +113,6 @@ class BspAuditor {
   std::vector<std::int64_t> discarded_bytes_;
   TimePoint last_event_{};
   mutable std::uint64_t checks_ = 0;
-  std::uint64_t retries_ = 0;
-  std::uint64_t crashes_ = 0;
 };
 
 }  // namespace prophet::audit

@@ -60,11 +60,8 @@ class TimePoint {
  public:
   constexpr TimePoint() = default;
   static constexpr TimePoint origin() { return TimePoint{}; }
-  static constexpr TimePoint from_nanos(std::int64_t n) { return TimePoint{Duration::nanos(n)}; }
   static constexpr TimePoint max() { return TimePoint{Duration::max()}; }
 
-  // Time elapsed since the simulation origin.
-  [[nodiscard]] constexpr Duration since_origin() const { return d_; }
   [[nodiscard]] constexpr std::int64_t count_nanos() const { return d_.count_nanos(); }
   [[nodiscard]] constexpr double to_seconds() const { return d_.to_seconds(); }
   [[nodiscard]] constexpr double to_millis() const { return d_.to_millis(); }

@@ -51,7 +51,9 @@ class Bandwidth {
   [[nodiscard]] constexpr double bytes_per_second() const { return bps_; }
   [[nodiscard]] constexpr double to_mbps() const { return bps_ * 8.0 / 1e6; }
   [[nodiscard]] constexpr double to_gbps() const { return bps_ * 8.0 / 1e9; }
-  [[nodiscard]] constexpr bool is_zero() const { return bps_ <= 0.0; }
+  // True for any rate that is not positive, NaN included, so a NaN fails
+  // every positive-bandwidth check.
+  [[nodiscard]] constexpr bool is_zero() const { return !(bps_ > 0.0); }
 
   // Serialization time of `s` bytes at this rate.
   [[nodiscard]] Duration time_to_send(Bytes s) const {

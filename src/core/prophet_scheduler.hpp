@@ -97,7 +97,6 @@ class ProphetScheduler final : public sched::CommScheduler {
                            TimePoint now) override;
   void on_gradient_skipped(std::size_t grad, TimePoint now) override;
   [[nodiscard]] bool has_pending() const override;
-  [[nodiscard]] std::string name() const override { return "prophet"; }
 
   // Profiling finished and the block assembler is active.
   [[nodiscard]] bool profile_ready() const { return profile_.has_value(); }

@@ -1,6 +1,7 @@
 #include "net/dynamics.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -23,11 +24,12 @@ std::vector<std::string> split(const std::string& s, char sep) {
   return out;
 }
 
+// Accepts finite numbers only: "nan" and "inf" are malformed input.
 bool parse_double(const std::string& s, double* out) {
   try {
     std::size_t pos = 0;
     *out = std::stod(s, &pos);
-    return pos == s.size();
+    return pos == s.size() && std::isfinite(*out);
   } catch (...) {
     return false;
   }
@@ -517,8 +519,8 @@ void DynamicsPlan::validate(std::size_t num_workers, std::size_t ps_shards) cons
       case Type::kBandwidthScale:
       case Type::kComputeScale:
       case Type::kPsComputeScale:
-        PROPHET_CHECK_MSG(ev.factor > 0.0,
-                          "dynamics scale factor must be positive");
+        PROPHET_CHECK_MSG(ev.factor > 0.0 && std::isfinite(ev.factor),
+                          "dynamics scale factor must be positive and finite");
         break;
       case Type::kBandwidthSet:
         PROPHET_CHECK_MSG(!ev.bandwidth.is_zero(),

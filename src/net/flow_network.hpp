@@ -100,11 +100,8 @@ struct RebalanceStats {
   std::uint64_t group_dissolves = 0;
   std::uint64_t group_fast_events = 0;
   // Differential verification (set_verify_rates): full-recompute comparisons
-  // run and rate mismatches observed. A mismatch aborts the run, so a
-  // surviving artifact always records zero — the column exists so a future
-  // soft-fail mode has somewhere to report.
+  // run. A rate mismatch aborts the run.
   std::uint64_t verify_checks = 0;
-  std::uint64_t verify_mismatches = 0;
 };
 
 class FlowNetwork {

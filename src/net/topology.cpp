@@ -1,5 +1,6 @@
 #include "net/topology.hpp"
 
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 
@@ -66,8 +67,9 @@ void TopologySpec::validate() const {
                         "leaf-spine topology needs at least one host per rack");
       PROPHET_CHECK_MSG(!host_bandwidth.is_zero(),
                         "leaf-spine topology needs positive host bandwidth");
-      PROPHET_CHECK_MSG(oversubscription > 0.0,
-                        "leaf-spine oversubscription ratio must be positive");
+      // An infinite ratio would leave the rack uplinks no capacity at all.
+      PROPHET_CHECK_MSG(oversubscription > 0.0 && std::isfinite(oversubscription),
+                        "leaf-spine oversubscription ratio must be positive and finite");
       // Leaf-spine hosts have uniform NICs; per-worker override entries
       // would silently lose against host_bandwidth, so they are rejected.
       PROPHET_CHECK_MSG(worker_bandwidth_override.empty(),

@@ -25,8 +25,10 @@ void ClusterConfig::validate() const {
   PROPHET_CHECK_MSG(topo.worker_bandwidth_override.size() <= num_workers,
                     "ClusterConfig: worker_bandwidth_override longer than num_workers");
   // The fabric must seat every worker plus one host per PS shard (a star
-  // seats any number).
-  PROPHET_CHECK_MSG(topo.host_capacity() >= num_workers + ps_shards,
+  // seats any number). Compared without forming the sum, which a huge
+  // num_workers would wrap past a star's capacity.
+  const std::size_t capacity = topo.host_capacity();
+  PROPHET_CHECK_MSG(num_workers <= capacity && ps_shards <= capacity - num_workers,
                     "ClusterConfig: topology rack capacity cannot hold "
                     "num_workers + ps_shards PS hosts");
   PROPHET_CHECK_MSG(update_bytes_per_sec > 0.0,

@@ -4,8 +4,6 @@
 
 #include "common/check.hpp"
 #include "sched/fifo.hpp"
-#include "sched/p3.hpp"
-#include "sched/tictac.hpp"
 
 namespace prophet::ps {
 
@@ -132,10 +130,12 @@ std::unique_ptr<sched::CommScheduler> make_scheduler(
     case StrategyConfig::Kind::kFifo:
       return std::make_unique<sched::FifoScheduler>(kind, strategy.blocking_ack);
     case StrategyConfig::Kind::kP3:
-      return std::make_unique<sched::P3Scheduler>(kind, strategy.p3_partition,
-                                                  strategy.blocking_ack);
+      return std::make_unique<sched::ByteSchedulerScheduler>(
+          kind, sched::ByteSchedulerConfig::p3(strategy.p3_partition,
+                                               strategy.blocking_ack));
     case StrategyConfig::Kind::kTicTac:
-      return std::make_unique<sched::TicTacScheduler>(kind, strategy.blocking_ack);
+      return std::make_unique<sched::ByteSchedulerScheduler>(
+          kind, sched::ByteSchedulerConfig::tictac(strategy.blocking_ack));
     case StrategyConfig::Kind::kMgWfbp:
       return std::make_unique<sched::MgWfbpScheduler>(kind, strategy.mg_wfbp_config);
     case StrategyConfig::Kind::kByteScheduler:

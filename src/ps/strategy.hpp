@@ -32,8 +32,8 @@ struct StrategyConfig {
   Kind kind = Kind::kProphet;
   // P3 partition size (paper Sec. 5.1: 4 MB).
   Bytes p3_partition = Bytes::mib(4);
-  // Blocking-call acknowledgment charged per task by the MXNet-FIFO and P3
-  // baselines (server turnaround of their synchronous send paths).
+  // Blocking-call acknowledgment charged per task by the MXNet-FIFO, P3 and
+  // TicTac baselines (server turnaround of their synchronous send paths).
   Duration blocking_ack = Duration::micros(1500);
   sched::ByteSchedulerConfig bytescheduler_config;
   sched::MgWfbpConfig mg_wfbp_config;

@@ -18,7 +18,8 @@ ByteSchedulerScheduler::ByteSchedulerScheduler(TaskKind kind, ByteSchedulerConfi
       queue_{config.partition_bytes},
       credit_{config.credit_bytes},
       tuner_rng_{kTunerSeed} {
-  PROPHET_CHECK(config_.credit_bytes >= config_.partition_bytes);
+  PROPHET_CHECK_MSG(config_.credit_bytes.count() > 0,
+                    "ByteSchedulerConfig::credit_bytes must be positive");
   if (config_.autotune) {
     PROPHET_CHECK(config_.credit_max > kCreditMin);
     tuner_ = std::make_unique<BayesOpt1D>(

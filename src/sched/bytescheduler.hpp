@@ -5,8 +5,21 @@
 // credit). Optionally a Bayesian-optimization auto-tuner adjusts the credit
 // at runtime from the observed iteration rate — the process responsible for
 // the training-rate fluctuation in the paper's Fig. 3(b).
+//
+// Two more baselines are settings of the same mechanism, each operation a
+// blocking call acknowledged before the next (Sec. 6.1 of the paper groups
+// them on that point):
+//   * P3 (Jayarajan et al., MLSys'19): fixed-size partitions sent strictly
+//     most-urgent-first, one per operation. Fine slicing buys fast
+//     preemption at the price of per-transfer overhead — the trade-off the
+//     paper's Fig. 3(a) and Table 2 probe.
+//   * TicTac (Hashemi et al., MLSys'19): whole tensors in priority order.
+//     It avoids P3's small-partition overhead, but a large low-priority
+//     tensor already in flight blocks an urgent one for its full transfer.
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 
@@ -22,7 +35,7 @@ struct ByteSchedulerConfig {
   Bytes partition_bytes = Bytes::mib(1);
   // Initial / fixed credit. The paper's comparison runs ByteScheduler "with
   // a default credit size" (Sec. 5.1); Fig. 5 illustrates credit = 3
-  // partitions.
+  // partitions. A credit below one partition still sends one partition.
   Bytes credit_bytes = Bytes::mib(4);
   // Runtime credit auto-tuning via Bayesian optimization.
   bool autotune = false;
@@ -34,6 +47,20 @@ struct ByteSchedulerConfig {
   // Application-level acknowledgment that replenishes the credit window
   // after each group — one round trip of credit-based flow control.
   Duration credit_ack_delay = Duration::micros(1000);
+
+  // P3: one `partition`-sized partition per blocking call (the paper's
+  // evaluation uses 4 MB, Sec. 5.1), each acknowledged after `blocking_ack`.
+  static constexpr ByteSchedulerConfig p3(
+      Bytes partition, Duration blocking_ack = Duration::micros(1500)) {
+    return {.partition_bytes = partition,
+            .credit_bytes = Bytes::of(1),
+            .credit_ack_delay = blocking_ack};
+  }
+  // TicTac: P3 with whole-tensor partitions.
+  static constexpr ByteSchedulerConfig tictac(
+      Duration blocking_ack = Duration::micros(1500)) {
+    return p3(Bytes::of(std::numeric_limits<std::int64_t>::max()), blocking_ack);
+  }
 };
 
 class ByteSchedulerScheduler final : public CommScheduler {
@@ -54,7 +81,6 @@ class ByteSchedulerScheduler final : public CommScheduler {
     episode_start_.reset();
   }
   [[nodiscard]] bool has_pending() const override { return !queue_.empty(); }
-  [[nodiscard]] std::string name() const override { return "bytescheduler"; }
 
   [[nodiscard]] Bytes credit_bytes() const { return credit_; }
 

@@ -24,7 +24,6 @@ class FifoScheduler final : public CommScheduler {
                     TimePoint finished) override;
   void on_recovery(TimePoint) override { queue_.clear(); }
   [[nodiscard]] bool has_pending() const override { return !queue_.empty(); }
-  [[nodiscard]] std::string name() const override { return "fifo"; }
 
  private:
   struct Entry {

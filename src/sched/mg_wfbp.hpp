@@ -38,7 +38,6 @@ class MgWfbpScheduler final : public CommScheduler {
     buffered_ = Bytes::zero();
   }
   [[nodiscard]] bool has_pending() const override { return !buffer_.empty(); }
-  [[nodiscard]] std::string name() const override { return "mg-wfbp"; }
 
  private:
   MgWfbpConfig config_;

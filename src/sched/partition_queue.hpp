@@ -1,7 +1,7 @@
-// Priority-ordered queue of tensor partitions, shared by the P3 and
-// ByteScheduler baselines: tensors are sliced into fixed-size partitions on
-// arrival and popped most-urgent-first (smallest gradient index, then
-// ascending offset within a tensor).
+// Priority-ordered queue of tensor partitions, shared by the ByteScheduler
+// baselines (P3 and TicTac among them) and Prophet: tensors are sliced into
+// fixed-size partitions on arrival and popped most-urgent-first (smallest
+// gradient index, then ascending offset within a tensor).
 #pragma once
 
 #include <cstddef>

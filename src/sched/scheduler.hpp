@@ -21,7 +21,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "common/time.hpp"
@@ -73,8 +72,6 @@ class CommScheduler {
 
   // True if the scheduler still holds queued work.
   [[nodiscard]] virtual bool has_pending() const = 0;
-
-  [[nodiscard]] virtual std::string name() const = 0;
 
  private:
   TaskKind kind_;

@@ -2,7 +2,6 @@
 
 #include "sched/bytescheduler.hpp"
 #include "sched/fifo.hpp"
-#include "sched/p3.hpp"
 
 namespace prophet::sched {
 namespace {
@@ -43,7 +42,7 @@ TEST(Fifo, KindPropagates) {
 }
 
 TEST(P3, OnePartitionPerTask) {
-  P3Scheduler p3{TaskKind::kPush, Bytes::mib(4)};
+  ByteSchedulerScheduler p3{TaskKind::kPush, ByteSchedulerConfig::p3(Bytes::mib(4))};
   p3.enqueue(2, Bytes::mib(10), at(0));
   auto t1 = p3.next_task(at(0));
   ASSERT_TRUE(t1.has_value());
@@ -58,7 +57,7 @@ TEST(P3, OnePartitionPerTask) {
 }
 
 TEST(P3, StrictPriorityPreemption) {
-  P3Scheduler p3{TaskKind::kPush, Bytes::mib(4)};
+  ByteSchedulerScheduler p3{TaskKind::kPush, ByteSchedulerConfig::p3(Bytes::mib(4))};
   p3.enqueue(5, Bytes::mib(12), at(0));
   (void)p3.next_task(at(0));          // one partition of gradient 5 sent
   p3.enqueue(1, Bytes::mib(4), at(1));  // higher priority arrives
@@ -129,6 +128,14 @@ TEST(ByteScheduler, PreemptionWithinCreditGranularity) {
   // Gradient 0 leads the next credit group.
   EXPECT_EQ(next->items[0].grad, 0u);
   EXPECT_EQ(next->items[1].grad, 8u);
+}
+
+// A credit below one partition still sends one (P3's setting); a zero
+// credit is a misconfiguration.
+TEST(ByteSchedulerDeath, ZeroCreditAborts) {
+  ByteSchedulerConfig cfg;
+  cfg.credit_bytes = Bytes::zero();
+  EXPECT_DEATH((void)ByteSchedulerScheduler(TaskKind::kPush, cfg), "credit_bytes");
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -147,6 +148,11 @@ TEST(DynamicsPlan, SpecParsingRoundTrips) {
   EXPECT_TRUE(plan.add_straggler_spec("0:1.5:3", &error));
   EXPECT_TRUE(plan.add_ps_degrade_spec("2.0:4", &error));
   EXPECT_FALSE(plan.add_outage_spec("nope", &error));
+  // Non-finite numbers are malformed, not huge or undefined values.
+  EXPECT_FALSE(plan.add_ps_degrade_spec("inf", &error));
+  EXPECT_FALSE(plan.add_straggler_spec("0:nan", &error));
+  EXPECT_FALSE(plan.add_outage_spec("nan:1", &error));
+  EXPECT_FALSE(net::DynamicsPlan::from_spec("step:1:inf", 1, 4_s, 2, &error).has_value());
   plan.sort();
   plan.validate(2);
   EXPECT_EQ(plan.events.size(), 4u);
@@ -229,6 +235,17 @@ TEST(DynamicsPlan, TraceCsvErrorPaths) {
   EXPECT_NE(error.find("bad value"), std::string::npos);
   EXPECT_FALSE(write_and_parse("0.5,worker_crash,q,0").has_value());
   EXPECT_NE(error.find("bad target"), std::string::npos);
+  // Non-finite times and values fail here, before Duration::from_seconds or
+  // the run sees them.
+  for (const char* row : {"nan,bandwidth_scale,*,0.5", "inf,bandwidth_scale,*,0.5"}) {
+    EXPECT_FALSE(write_and_parse(row).has_value()) << row;
+    EXPECT_NE(error.find("bad time"), std::string::npos) << row;
+  }
+  for (const char* row : {"0.01,bandwidth_gbps,*,nan", "0,compute_scale,0,inf",
+                          "0,ps_compute_scale,*,inf"}) {
+    EXPECT_FALSE(write_and_parse(row).has_value()) << row;
+    EXPECT_NE(error.find("bad value"), std::string::npos) << row;
+  }
 }
 
 TEST(DynamicsPlanDeathTest, ValidateRejectsMalformedFaultPlans) {
@@ -287,6 +304,34 @@ TEST(DynamicsPlanDeathTest, ValidateRejectsMalformedPlans) {
     plan.bandwidth_scale(1_s, 0, -0.5);
     EXPECT_DEATH(plan.validate(2), "positive");
   }
+  // Non-finite scale factors and rates, which the run would otherwise meet
+  // mid-simulation.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  {
+    net::DynamicsPlan plan;
+    plan.ps_degrade(1_s, kInf);
+    EXPECT_DEATH(plan.validate(2), "finite");
+  }
+  {
+    net::DynamicsPlan plan;
+    plan.straggler(1_s, 0, kInf);
+    EXPECT_DEATH(plan.validate(2), "finite");
+  }
+  {
+    net::DynamicsPlan plan;
+    plan.bandwidth_scale(1_s, 0, kNan);
+    EXPECT_DEATH(plan.validate(2), "finite");
+  }
+  {
+    net::DynamicsPlan plan;
+    net::DynamicsEvent ev;
+    ev.at = 1_s;
+    ev.type = net::DynamicsEvent::Type::kBandwidthSet;
+    ev.bandwidth = Bandwidth::gbps(kNan);
+    plan.events.push_back(ev);
+    EXPECT_DEATH(plan.validate(2), "bandwidth_gbps");
+  }
 }
 
 // An empty `link` means "not link-targeted", which would aim the event at
@@ -341,6 +386,19 @@ TEST(ClusterConfigDeathTest, ValidateRejectsBadConfigs) {
     cfg.topology->worker_bandwidth_override.assign(cfg.num_workers + 1,
                                                    Bandwidth::gbps(1));
     EXPECT_DEATH(cfg.validate(), "override");
+  }
+  {
+    ps::ClusterConfig cfg;
+    cfg.topology->ps_bandwidth =
+        Bandwidth::gbps(std::numeric_limits<double>::quiet_NaN());
+    EXPECT_DEATH(cfg.validate(), "ps_bandwidth");
+  }
+  {
+    // num_workers + ps_shards wraps to 0 here; a star's capacity check must
+    // not form that sum.
+    ps::ClusterConfig cfg;
+    cfg.num_workers = std::numeric_limits<std::size_t>::max();
+    EXPECT_DEATH(cfg.validate(), "rack capacity cannot hold");
   }
 }
 

@@ -1,10 +1,10 @@
 // Unit tests for the related-work baselines added beyond the paper's core
-// comparison set: TicTac (op-order priority) and MG-WFBP (static gradient
-// merging).
+// comparison set: TicTac (op-order priority, a ByteScheduler setting) and
+// MG-WFBP (static gradient merging).
 #include <gtest/gtest.h>
 
+#include "sched/bytescheduler.hpp"
 #include "sched/mg_wfbp.hpp"
-#include "sched/tictac.hpp"
 
 namespace prophet::sched {
 namespace {
@@ -14,7 +14,7 @@ using namespace prophet::literals;
 TimePoint at(std::int64_t ms) { return TimePoint::origin() + Duration::millis(ms); }
 
 TEST(TicTac, WholeTensorsInPriorityOrder) {
-  TicTacScheduler tictac{TaskKind::kPush};
+  ByteSchedulerScheduler tictac{TaskKind::kPush, ByteSchedulerConfig::tictac()};
   tictac.enqueue(7, Bytes::mib(2), at(0));
   tictac.enqueue(3, Bytes::mib(1), at(1));
   tictac.enqueue(9, Bytes::kib(8), at(1));
@@ -25,7 +25,7 @@ TEST(TicTac, WholeTensorsInPriorityOrder) {
 }
 
 TEST(TicTac, NoSlicing) {
-  TicTacScheduler tictac{TaskKind::kPush};
+  ByteSchedulerScheduler tictac{TaskKind::kPush, ByteSchedulerConfig::tictac()};
   tictac.enqueue(0, Bytes::mib(64), at(0));
   const auto task = tictac.next_task(at(0));
   ASSERT_TRUE(task.has_value());
@@ -35,7 +35,7 @@ TEST(TicTac, NoSlicing) {
 }
 
 TEST(TicTac, UrgentArrivalPreemptsAtTaskBoundary) {
-  TicTacScheduler tictac{TaskKind::kPush};
+  ByteSchedulerScheduler tictac{TaskKind::kPush, ByteSchedulerConfig::tictac()};
   tictac.enqueue(5, Bytes::mib(4), at(0));
   (void)tictac.next_task(at(0));
   tictac.enqueue(6, Bytes::mib(4), at(1));
@@ -44,13 +44,13 @@ TEST(TicTac, UrgentArrivalPreemptsAtTaskBoundary) {
 }
 
 TEST(TicTac, BlockingAckCarried) {
-  TicTacScheduler tictac{TaskKind::kPush, 2_ms};
+  ByteSchedulerScheduler tictac{TaskKind::kPush, ByteSchedulerConfig::tictac(2_ms)};
   tictac.enqueue(0, Bytes::mib(1), at(0));
   EXPECT_EQ(tictac.next_task(at(0))->post_delay, 2_ms);
 }
 
 TEST(TicTacDeath, DoubleEnqueueAborts) {
-  TicTacScheduler tictac{TaskKind::kPush};
+  ByteSchedulerScheduler tictac{TaskKind::kPush, ByteSchedulerConfig::tictac()};
   tictac.enqueue(1, Bytes::mib(1), at(0));
   EXPECT_DEATH(tictac.enqueue(1, Bytes::mib(1), at(1)), "enqueued twice");
 }

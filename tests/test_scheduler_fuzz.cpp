@@ -14,8 +14,6 @@
 #include "sched/bytescheduler.hpp"
 #include "sched/fifo.hpp"
 #include "sched/mg_wfbp.hpp"
-#include "sched/p3.hpp"
-#include "sched/tictac.hpp"
 
 namespace prophet {
 namespace {
@@ -37,11 +35,13 @@ std::vector<FuzzCase> all_schedulers() {
                      return make_unique<sched::FifoScheduler>(TaskKind::kPush);
                    }});
   cases.push_back({"p3", [](std::size_t) {
-                     return make_unique<sched::P3Scheduler>(TaskKind::kPush,
-                                                            Bytes::kib(256));
+                     return make_unique<sched::ByteSchedulerScheduler>(
+                         TaskKind::kPush,
+                         sched::ByteSchedulerConfig::p3(Bytes::kib(256)));
                    }});
   cases.push_back({"tictac", [](std::size_t) {
-                     return make_unique<sched::TicTacScheduler>(TaskKind::kPush);
+                     return make_unique<sched::ByteSchedulerScheduler>(
+                         TaskKind::kPush, sched::ByteSchedulerConfig::tictac());
                    }});
   cases.push_back({"mg_wfbp", [](std::size_t) {
                      sched::MgWfbpConfig cfg;

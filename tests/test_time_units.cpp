@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/time.hpp"
 #include "common/units.hpp"
 
@@ -93,6 +95,8 @@ TEST(Bandwidth, TimeToSendAndBytesIn) {
 TEST(Bandwidth, ZeroDetection) {
   EXPECT_TRUE(Bandwidth::zero().is_zero());
   EXPECT_FALSE(Bandwidth::gbps(1).is_zero());
+  // NaN is no positive rate, so every positive-bandwidth check rejects it.
+  EXPECT_TRUE(Bandwidth::gbps(std::numeric_limits<double>::quiet_NaN()).is_zero());
 }
 
 TEST(Formatters, BytesAndBandwidth) {

@@ -5,6 +5,7 @@
 // fabrics.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -193,6 +194,10 @@ TEST(TopologyValidation, SpecRejectsMalformedParameters) {
   EXPECT_DEATH(TopologySpec::leaf_spine(0, 4, Bandwidth::gbps(10), 4.0).validate(),
                "at least one rack");
   EXPECT_DEATH(TopologySpec::leaf_spine(2, 4, Bandwidth::gbps(10), 0.0).validate(),
+               "oversubscription");
+  EXPECT_DEATH(TopologySpec::leaf_spine(2, 4, Bandwidth::gbps(10),
+                                        std::numeric_limits<double>::infinity())
+                   .validate(),
                "oversubscription");
 }
 
