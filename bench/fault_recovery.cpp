@@ -100,10 +100,10 @@ int main(int argc, char** argv) {
   using bench::Point;
 
   std::string error;
-  const auto flags = Flags::parse(argc, argv, &error);
+  const auto flags = Flags::parse(argc, argv, {"smoke", "out"}, &error);
   if (!flags) {
     std::fprintf(stderr, "fault_recovery: %s\n", error.c_str());
-    return 2;
+    return 1;
   }
   const bool smoke = flags->get("smoke", false);
   const std::string out_path =

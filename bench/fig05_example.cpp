@@ -133,7 +133,6 @@ int run() {
   }
   {
     core::ProphetConfig cfg;
-    cfg.partition_bytes = Bytes::mib(1);
     cfg.budget_margin = 0.0;
     cfg.min_block = Bytes::of(1);
     cfg.forward_group_max = Bytes::mib(8);

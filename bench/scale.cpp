@@ -193,10 +193,10 @@ int main(int argc, char** argv) {
   using namespace prophet::bench;
 
   std::string error;
-  const auto flags = Flags::parse(argc, argv, &error);
+  const auto flags = Flags::parse(argc, argv, {"smoke", "big", "out"}, &error);
   if (!flags) {
     std::fprintf(stderr, "scale: %s\n", error.c_str());
-    return 2;
+    return 1;
   }
   const bool smoke = flags->get("smoke", false);
   const bool big = flags->get("big", false);

@@ -91,10 +91,23 @@ void usage() {
 int main(int argc, char** argv) {
   using namespace prophet;
 
-  const auto flags = Flags::parse(argc, argv);
-  if (!flags.has_value() || flags->get("help", false)) {
+  std::string error;
+  const auto flags = Flags::parse(
+      argc, argv,
+      {"help", "model", "batch", "workers", "iterations", "seed", "asp",
+       "strategy", "arch", "profile-iters", "trace", "gbps", "ps-gbps",
+       "topology", "oversub", "ps-shards", "jobs", "placement", "interleave",
+       "dynamics", "outage", "straggler", "ps-degrade", "worker-crash",
+       "ps-crash", "checkpoint-s", "loss", "retry-budget"},
+      &error);
+  if (!flags.has_value()) {
+    std::fprintf(stderr, "%s\n\n", error.c_str());
     usage();
-    return flags.has_value() ? 0 : 1;
+    return 1;
+  }
+  if (flags->get("help", false)) {
+    usage();
+    return 0;
   }
 
   const std::string strategy_name = flags->get("strategy", std::string{"prophet"});
@@ -120,6 +133,9 @@ int main(int argc, char** argv) {
   cfg.batch = static_cast<int>(flags->get("batch", std::int64_t{64}));
   cfg.num_workers = static_cast<std::size_t>(flags->get("workers", std::int64_t{3}));
   const Bandwidth host_bandwidth = Bandwidth::gbps(flags->get("gbps", 3.0));
+  // Read before the topology branch, so a malformed value fails either way.
+  const double ps_gbps = flags->get("ps-gbps", 10.0);
+  const double oversub = flags->get("oversub", 4.0);
   std::string topo_error;
   auto spec = net::TopologySpec::from_cli(
       flags->get("topology", std::string{"star"}), &topo_error);
@@ -128,11 +144,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (spec->kind == net::TopologySpec::Kind::kStar) {
-    *spec = net::TopologySpec::star(host_bandwidth,
-                                    Bandwidth::gbps(flags->get("ps-gbps", 10.0)));
+    *spec = net::TopologySpec::star(host_bandwidth, Bandwidth::gbps(ps_gbps));
   } else {
     spec->host_bandwidth = host_bandwidth;
-    spec->oversubscription = flags->get("oversub", 4.0);
+    spec->oversubscription = oversub;
   }
   cfg.topology = *spec;
   cfg.ps_shards = static_cast<std::size_t>(flags->get("ps-shards", std::int64_t{1}));
@@ -187,8 +202,14 @@ int main(int argc, char** argv) {
   }
   plan->sort();
   cfg.dynamics = std::move(*plan);
-  cfg.checkpoint_period = Duration::from_seconds(flags->get("checkpoint-s", 2.0));
-  cfg.reliability.retry_budget =
+  const double checkpoint_s = flags->get("checkpoint-s", 2.0);
+  if (checkpoint_s < 0.0 || !Duration::fits_seconds(checkpoint_s)) {
+    std::fprintf(stderr, "--checkpoint-s wants a non-negative period that fits a "
+                         "simulated time\n");
+    return 1;
+  }
+  cfg.checkpoint_period = Duration::from_seconds(checkpoint_s);
+  cfg.retry_budget =
       static_cast<std::size_t>(flags->get("retry-budget", std::int64_t{16}));
 
   const std::string arch = flags->get("arch", std::string{"ps"});
@@ -265,7 +286,8 @@ int main(int argc, char** argv) {
 
   // The Chrome trace replays every transfer record; other runs keep only
   // the streamed push summaries.
-  cfg.keep_transfer_records = flags->has("trace");
+  const std::string trace_path = flags->get("trace", std::string{});
+  cfg.keep_transfer_records = !trace_path.empty();
   const auto result = ps::run_cluster(cfg);
   std::printf("[%s/ps] rate %.2f samples/s/worker, GPU utilization %.1f%%\n",
               strategy_name.c_str(), result.mean_rate(),
@@ -294,10 +316,9 @@ int main(int argc, char** argv) {
         "(%zu BSP invariant checks clean)\n",
         retries, crash_events, result.audit_checks);
   }
-  if (flags->has("trace")) {
-    const std::string path = flags->get("trace", std::string{"run.trace.json"});
-    ps::export_chrome_trace(result, path);
-    std::printf("Chrome trace written to %s\n", path.c_str());
+  if (!trace_path.empty()) {
+    ps::export_chrome_trace(result, trace_path);
+    std::printf("Chrome trace written to %s\n", trace_path.c_str());
   }
   return 0;
 }

@@ -22,16 +22,14 @@ ps::ClusterResult run_allreduce(const ps::ClusterConfig& cfg,
                     "to form a ring");
   PROPHET_CHECK_MSG(cfg.dynamics.empty(),
                     "ar::run_allreduce: ClusterConfig::dynamics must be empty — "
-                    "the ring models no network dynamics or faults");
+                    "the ring models no network dynamics, faults or transport "
+                    "loss");
   PROPHET_CHECK_MSG(cfg.ps_shards == 1,
                     "ar::run_allreduce: ClusterConfig::ps_shards must be 1 — "
                     "the ring has no parameter server to shard");
   PROPHET_CHECK_MSG(cfg.sync == ps::SyncMode::kBsp,
                     "ar::run_allreduce: ClusterConfig::sync must be kBsp — "
                     "ring collectives are synchronous");
-  PROPHET_CHECK_MSG(cfg.reliability.loss_rate == 0.0,
-                    "ar::run_allreduce: ClusterConfig::reliability.loss_rate "
-                    "must be 0 — the ring has no reliable channel");
   const std::size_t first =
       measure_first.has_value() ? *measure_first : cfg.default_measure_first();
   const std::size_t last = cfg.iterations;

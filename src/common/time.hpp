@@ -20,6 +20,11 @@ class Duration {
   static constexpr Duration micros(std::int64_t u) { return Duration{u * 1'000}; }
   static constexpr Duration millis(std::int64_t m) { return Duration{m * 1'000'000}; }
   static constexpr Duration seconds(std::int64_t s) { return Duration{s * 1'000'000'000}; }
+  // Whether from_seconds(s) is defined: `s` is finite and its nanosecond
+  // count fits int64. Parsers of user-given seconds check it first.
+  static constexpr bool fits_seconds(double s) {
+    return s * 1e9 > -0x1p63 && s * 1e9 < 0x1p63;
+  }
   // Converts a floating-point second count, rounding to the nearest nanosecond.
   static constexpr Duration from_seconds(double s) {
     return Duration{static_cast<std::int64_t>(s * 1e9 + (s >= 0 ? 0.5 : -0.5))};

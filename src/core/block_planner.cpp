@@ -7,10 +7,11 @@
 
 namespace prophet::core {
 
-BlockPlanner::BlockPlanner(net::TcpCostModel cost, BlockPlannerConfig config)
-    : cost_{cost}, config_{config} {
-  PROPHET_CHECK(config_.budget_margin >= 0.0 && config_.budget_margin < 1.0);
-}
+namespace {
+// Safety margin subtracted from every block budget to absorb profile jitter
+// (plan a block slightly smaller than the interval it must fit).
+constexpr double kBudgetMargin = 0.05;
+}  // namespace
 
 Schedule BlockPlanner::plan(const GradientProfile& profile, Bandwidth bandwidth) const {
   PROPHET_CHECK(!bandwidth.is_zero());
@@ -47,7 +48,7 @@ Schedule BlockPlanner::plan(const GradientProfile& profile, Bandwidth bandwidth)
     // generation event, so high-priority gradients are never blocked.
     const Duration next_gen = order[ev].first;
     const Duration start = std::max(now, nic_free);
-    const Duration budget = (next_gen - start) * (1.0 - config_.budget_margin);
+    const Duration budget = (next_gen - start) * (1.0 - kBudgetMargin);
     if (budget <= Duration::zero()) continue;
 
     // Greedy assembly (Alg. 1 lines 6-11): take ready gradients in priority

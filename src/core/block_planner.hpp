@@ -17,15 +17,9 @@
 
 namespace prophet::core {
 
-struct BlockPlannerConfig {
-  // Safety margin subtracted from every block budget to absorb profile
-  // jitter (plan a block slightly smaller than the interval it must fit).
-  double budget_margin = 0.05;
-};
-
 class BlockPlanner {
  public:
-  BlockPlanner(net::TcpCostModel cost, BlockPlannerConfig config = {});
+  explicit BlockPlanner(net::TcpCostModel cost) : cost_{cost} {}
 
   // Plans one iteration's gradient transfers. The returned schedule is
   // feasible under PerfModel::check_constraints by construction.
@@ -33,7 +27,6 @@ class BlockPlanner {
 
  private:
   net::TcpCostModel cost_;
-  BlockPlannerConfig config_;
 };
 
 }  // namespace prophet::core

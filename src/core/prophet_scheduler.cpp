@@ -21,6 +21,9 @@ namespace {
 constexpr double kInstabilityDeadband = 0.02;
 constexpr double kInstabilityGain = 60.0;
 constexpr double kInstabilityDecay = 0.95;
+// Packing granularity inside a block (partial tensors are allowed: Fig. 5
+// shows Prophet sending two of gradient 1's three partitions).
+constexpr Bytes kPartitionBytes = Bytes::mib(1);
 }  // namespace
 
 ProphetScheduler::ProphetScheduler(sched::TaskKind kind, std::size_t gradient_count,
@@ -31,7 +34,7 @@ ProphetScheduler::ProphetScheduler(sched::TaskKind kind, std::size_t gradient_co
       bandwidth_fn_{std::move(bandwidth_fn)},
       cost_{cost},
       config_{config},
-      partitions_{config.partition_bytes},
+      partitions_{kPartitionBytes},
       arrived_(gradient_count, 0) {
   PROPHET_CHECK(gradient_count_ > 0);
   PROPHET_CHECK(bandwidth_fn_ != nullptr);
@@ -166,7 +169,7 @@ Bytes ProphetScheduler::drain_group_bytes() const {
   const double scale = 1.0 / (1.0 + kInstabilityGain * instability_);
   // Floor at a quarter of the full cap (and never below a partition): the
   // point is preemption granularity, not giving up amortization entirely.
-  const Bytes floor = std::max(config_.partition_bytes,
+  const Bytes floor = std::max(kPartitionBytes,
                                Bytes::of(config_.forward_group_max.count() / 4));
   return std::clamp(
       Bytes::of(static_cast<std::int64_t>(
@@ -271,7 +274,5 @@ std::optional<sched::TransferTask> ProphetScheduler::next_pull_task(TimePoint) {
   PROPHET_CHECK(!task.items.empty());
   return task;
 }
-
-void ProphetScheduler::on_task_done(const sched::TransferTask&, TimePoint, TimePoint) {}
 
 }  // namespace prophet::core

@@ -14,8 +14,9 @@
 //    of the next higher-priority gradient (Constraint (11)). If even one
 //    partition does not fit, the NIC deliberately idles: the imminent
 //    high-priority gradient must not queue behind us.
-//  * Scheduled Queue — next_task()/on_task_done() mirror the prototype's
-//    getTask/reportFinish interfaces.
+//  * Scheduled Queue — next_task() mirrors the prototype's getTask; its
+//    reportFinish is the interface's default no-op on_task_done(), since
+//    plans come from the profile and the monitor, not from completions.
 //
 // Once gradient 0 arrives, backward is over and the remaining gradients
 // drain whole, one per task, in strict priority order (Constraint (9)).
@@ -41,9 +42,6 @@ namespace prophet::core {
 struct ProphetConfig {
   // Pre-training profile length (the paper uses 50 iterations).
   std::size_t profile_iterations = 50;
-  // Packing granularity inside a block (partial tensors are allowed: Fig. 5
-  // shows Prophet sending two of gradient 1's three partitions).
-  Bytes partition_bytes = Bytes::mib(1);
   // Fraction of the predicted interval kept as safety margin.
   double budget_margin = 0.05;
   // Floor on backward-phase block assembly. When transfers run behind the
@@ -89,8 +87,6 @@ class ProphetScheduler final : public sched::CommScheduler {
 
   void enqueue(std::size_t grad, Bytes bytes, TimePoint now) override;
   std::optional<sched::TransferTask> next_task(TimePoint now) override;
-  void on_task_done(const sched::TransferTask& task, TimePoint started,
-                    TimePoint finished) override;
   void on_iteration_start(std::size_t iteration, TimePoint now) override;
   void on_recovery(TimePoint now) override;
   void on_partial_recovery(const std::vector<std::uint8_t>& affected_keys,
@@ -116,7 +112,7 @@ class ProphetScheduler final : public sched::CommScheduler {
   [[nodiscard]] Bandwidth plan_bandwidth_now() const;
   // Cap on drain-phase (forward/pull) groups: forward_group_max shrunk by
   // the monitored-instability signal, clamped to
-  // [partition_bytes, forward_group_max].
+  // [max(one partition, forward_group_max / 4), forward_group_max].
   [[nodiscard]] Bytes drain_group_bytes() const;
   std::optional<sched::TransferTask> next_push_task(TimePoint now);
   std::optional<sched::TransferTask> next_pull_task(TimePoint now);

@@ -35,6 +35,19 @@ bool parse_double(const std::string& s, double* out) {
   }
 }
 
+// Seconds as a Duration: a finite, non-negative number whose nanosecond count
+// fits int64 (past it Duration::from_seconds is an undefined cast).
+bool parse_seconds(const std::string& s, Duration* out) {
+  double seconds = 0.0;
+  const bool ok =
+      parse_double(s, &seconds) && seconds >= 0.0 && Duration::fits_seconds(seconds);
+  if (ok) *out = Duration::from_seconds(seconds);
+  return ok;
+}
+
+// Whether a window [at, at + span) ends at a representable time.
+bool window_fits(Duration at, Duration span) { return span <= Duration::max() - at; }
+
 bool parse_index(const std::string& s, std::size_t* out) {
   try {
     std::size_t pos = 0;
@@ -239,13 +252,11 @@ std::optional<DynamicsPlan> DynamicsPlan::from_trace_csv(const std::string& path
       set_error(error, where + ": want 4 fields `time_s,event,target,value`");
       return std::nullopt;
     }
-    double time_s = 0.0;
-    if (!parse_double(fields[0], &time_s) || time_s < 0.0) {
+    DynamicsEvent ev;
+    if (!parse_seconds(fields[0], &ev.at)) {
       set_error(error, where + ": bad time '" + fields[0] + "'");
       return std::nullopt;
     }
-    DynamicsEvent ev;
-    ev.at = Duration::from_seconds(time_s);
     if (fields[2] == "ps") {
       ev.target_ps = true;
     } else if (fields[2].rfind("shard:", 0) == 0) {
@@ -328,36 +339,33 @@ std::optional<DynamicsPlan> DynamicsPlan::from_spec(const std::string& spec,
   const auto fields = split(spec, ':');
   if (fields[0] == "fluctuate") {
     double amplitude = 0.0;
-    double period_s = 2.0;
+    Duration period = Duration::seconds(2);
     if (fields.size() < 2 || fields.size() > 3 ||
         !parse_double(fields[1], &amplitude) ||
-        (fields.size() == 3 && !parse_double(fields[2], &period_s))) {
+        (fields.size() == 3 && !parse_seconds(fields[2], &period))) {
       set_error(error, "--dynamics fluctuate wants fluctuate:AMP[:PERIOD_S]");
       return std::nullopt;
     }
-    if (amplitude < 0.0 || amplitude >= 1.0 || period_s <= 0.0) {
+    if (amplitude < 0.0 || amplitude >= 1.0 || period <= Duration::zero()) {
       set_error(error, "--dynamics fluctuate: AMP in [0,1), PERIOD_S > 0");
       return std::nullopt;
     }
-    return fluctuation(seed, amplitude, Duration::from_seconds(period_s), horizon,
-                       num_workers);
+    return fluctuation(seed, amplitude, period, horizon, num_workers);
   }
   if (fields[0] == "step") {
-    double at_s = 0.0;
+    Duration at;
     double factor = 0.0;
     std::size_t worker = 0;
     const bool has_worker = fields.size() == 4;
-    if (fields.size() < 3 || fields.size() > 4 || !parse_double(fields[1], &at_s) ||
+    if (fields.size() < 3 || fields.size() > 4 || !parse_seconds(fields[1], &at) ||
         !parse_double(fields[2], &factor) ||
         (has_worker && !parse_index(fields[3], &worker))) {
       set_error(error, "--dynamics step wants step:T_S:FACTOR[:WORKER]");
       return std::nullopt;
     }
     DynamicsPlan plan;
-    plan.bandwidth_scale(Duration::from_seconds(at_s),
-                         has_worker ? std::optional<std::size_t>{worker}
-                                    : std::nullopt,
-                         factor);
+    plan.bandwidth_scale(
+        at, has_worker ? std::optional<std::size_t>{worker} : std::nullopt, factor);
     return plan;
   }
   if (fields[0] == "trace") {
@@ -374,18 +382,18 @@ std::optional<DynamicsPlan> DynamicsPlan::from_spec(const std::string& spec,
 
 bool DynamicsPlan::add_outage_spec(const std::string& spec, std::string* error) {
   const auto fields = split(spec, ':');
-  double at_s = 0.0;
-  double dur_s = 0.0;
+  Duration at;
+  Duration dur;
   std::size_t worker = 0;
   const bool has_worker = fields.size() == 3;
-  if (fields.size() < 2 || fields.size() > 3 || !parse_double(fields[0], &at_s) ||
-      !parse_double(fields[1], &dur_s) ||
-      (has_worker && !parse_index(fields[2], &worker)) || dur_s <= 0.0) {
+  if (fields.size() < 2 || fields.size() > 3 || !parse_seconds(fields[0], &at) ||
+      !parse_seconds(fields[1], &dur) ||
+      (has_worker && !parse_index(fields[2], &worker)) || dur <= Duration::zero() ||
+      !window_fits(at, dur)) {
     set_error(error, "--outage wants T_S:DUR_S[:WORKER]");
     return false;
   }
-  outage(Duration::from_seconds(at_s), Duration::from_seconds(dur_s),
-         has_worker ? std::optional<std::size_t>{worker} : std::nullopt);
+  outage(at, dur, has_worker ? std::optional<std::size_t>{worker} : std::nullopt);
   return true;
 }
 
@@ -393,64 +401,63 @@ bool DynamicsPlan::add_straggler_spec(const std::string& spec, std::string* erro
   const auto fields = split(spec, ':');
   std::size_t worker = 0;
   double factor = 0.0;
-  double at_s = 0.0;
+  Duration at;
   if (fields.size() < 2 || fields.size() > 3 || !parse_index(fields[0], &worker) ||
       !parse_double(fields[1], &factor) ||
-      (fields.size() == 3 && !parse_double(fields[2], &at_s))) {
+      (fields.size() == 3 && !parse_seconds(fields[2], &at))) {
     set_error(error, "--straggler wants WORKER:FACTOR[:T_S]");
     return false;
   }
-  straggler(Duration::from_seconds(at_s), worker, factor);
+  straggler(at, worker, factor);
   return true;
 }
 
 bool DynamicsPlan::add_ps_degrade_spec(const std::string& spec, std::string* error) {
   const auto fields = split(spec, ':');
   double factor = 0.0;
-  double at_s = 0.0;
+  Duration at;
   if (fields.empty() || fields.size() > 2 || !parse_double(fields[0], &factor) ||
-      (fields.size() == 2 && !parse_double(fields[1], &at_s))) {
+      (fields.size() == 2 && !parse_seconds(fields[1], &at))) {
     set_error(error, "--ps-degrade wants FACTOR[:T_S]");
     return false;
   }
-  ps_degrade(Duration::from_seconds(at_s), factor);
+  ps_degrade(at, factor);
   return true;
 }
 
 bool DynamicsPlan::add_worker_crash_spec(const std::string& spec,
                                          std::string* error) {
   const auto fields = split(spec, ':');
-  double at_s = 0.0;
-  double dur_s = 0.0;
+  Duration at;
+  Duration dur;
   std::size_t worker = 0;
-  if (fields.size() != 3 || !parse_double(fields[0], &at_s) ||
-      !parse_double(fields[1], &dur_s) || !parse_index(fields[2], &worker) ||
-      at_s < 0.0 || dur_s <= 0.0) {
+  if (fields.size() != 3 || !parse_seconds(fields[0], &at) ||
+      !parse_seconds(fields[1], &dur) || !parse_index(fields[2], &worker) ||
+      dur <= Duration::zero() || !window_fits(at, dur)) {
     set_error(error, "--worker-crash wants T_S:DUR_S:WORKER");
     return false;
   }
-  worker_crash(Duration::from_seconds(at_s), Duration::from_seconds(dur_s), worker);
+  worker_crash(at, dur, worker);
   return true;
 }
 
 bool DynamicsPlan::add_ps_crash_spec(const std::string& spec, std::string* error) {
   const auto fields = split(spec, ':');
-  double at_s = 0.0;
-  double dur_s = 0.0;
+  Duration at;
+  Duration dur;
   std::size_t shard = 0;
   const bool has_shard = fields.size() == 4;
-  if ((fields.size() != 2 && fields.size() != 4) ||
-      !parse_double(fields[0], &at_s) || !parse_double(fields[1], &dur_s) ||
+  if ((fields.size() != 2 && fields.size() != 4) || !parse_seconds(fields[0], &at) ||
+      !parse_seconds(fields[1], &dur) ||
       (has_shard && (fields[2] != "shard" || !parse_index(fields[3], &shard))) ||
-      at_s < 0.0 || dur_s <= 0.0) {
+      dur <= Duration::zero() || !window_fits(at, dur)) {
     set_error(error, "--ps-crash wants T_S:DUR_S[:shard:K]");
     return false;
   }
   if (has_shard) {
-    ps_shard_crash(Duration::from_seconds(at_s), Duration::from_seconds(dur_s),
-                   shard);
+    ps_shard_crash(at, dur, shard);
   } else {
-    ps_crash(Duration::from_seconds(at_s), Duration::from_seconds(dur_s));
+    ps_crash(at, dur);
   }
   return true;
 }
@@ -458,14 +465,14 @@ bool DynamicsPlan::add_ps_crash_spec(const std::string& spec, std::string* error
 bool DynamicsPlan::add_loss_spec(const std::string& spec, std::string* error) {
   const auto fields = split(spec, ':');
   double rate = 0.0;
-  double at_s = 0.0;
+  Duration at;
   if (fields.empty() || fields.size() > 2 || !parse_double(fields[0], &rate) ||
-      (fields.size() == 2 && !parse_double(fields[1], &at_s)) || rate < 0.0 ||
-      rate >= 1.0 || at_s < 0.0) {
+      (fields.size() == 2 && !parse_seconds(fields[1], &at)) || rate < 0.0 ||
+      rate >= 1.0) {
     set_error(error, "--loss wants RATE[:T_S] with RATE in [0, 1)");
     return false;
   }
-  loss_rate(Duration::from_seconds(at_s), rate);
+  loss_rate(at, rate);
   return true;
 }
 

@@ -8,37 +8,31 @@
 namespace prophet::net {
 
 namespace {
-// Backoff before the first retry; each further retry doubles it up to
-// backoff_cap.
+// No-progress watchdog: an attempt that drains nothing for this long is
+// declared lost (covers both injected losses that stall the stream and flows
+// parked behind a link outage). Long transfers keep resetting the watchdog as
+// bytes drain, so the timeout does not bound transfer size.
+constexpr Duration kStallTimeout = Duration::millis(200);
+// Exponential backoff before retry n: kFirstBackoff * 2^(n-1), capped at
+// kBackoffCap.
 constexpr Duration kFirstBackoff = Duration::millis(2);
+constexpr Duration kBackoffCap = Duration::millis(200);
+// Fraction of the backoff subtracted uniformly at random (decorrelates retry
+// storms after a shared fault).
+constexpr double kBackoffJitter = 0.2;
 }  // namespace
 
-void ReliabilityConfig::validate() const {
-  PROPHET_CHECK_MSG(loss_rate >= 0.0 && loss_rate < 1.0,
-                    "ReliabilityConfig: loss_rate must be in [0, 1)");
-  PROPHET_CHECK_MSG(stall_timeout > Duration::zero(),
-                    "ReliabilityConfig: stall_timeout must be > 0");
-  PROPHET_CHECK_MSG(backoff_cap >= kFirstBackoff,
-                    "ReliabilityConfig: backoff_cap must be >= the 2 ms first "
-                    "backoff");
-  PROPHET_CHECK_MSG(backoff_jitter >= 0.0 && backoff_jitter <= 1.0,
-                    "ReliabilityConfig: backoff_jitter must be in [0, 1]");
-  PROPHET_CHECK_MSG(!enabled() || retry_budget >= 1,
-                    "ReliabilityConfig: retry budget of zero with loss enabled "
-                    "would hang on the first drop; set retry_budget >= 1");
-}
-
 ReliableChannel::ReliableChannel(sim::Simulator& sim, FlowNetwork& net,
-                                 ReliabilityConfig config, Rng rng)
-    : sim_{sim}, net_{net}, config_{config}, rng_{rng} {
-  config_.validate();
-}
+                                 std::size_t retry_budget, Rng rng)
+    : sim_{sim}, net_{net}, retry_budget_{retry_budget}, rng_{rng} {}
 
 void ReliableChannel::set_loss_rate(double rate) {
   PROPHET_CHECK_MSG(rate >= 0.0 && rate < 1.0,
                     "ReliableChannel: loss rate must be in [0, 1)");
-  config_.loss_rate = rate;
-  if (config_.enabled()) config_.validate();
+  PROPHET_CHECK_MSG(rate <= 0.0 || retry_budget_ >= 1,
+                    "ReliableChannel: retry budget of zero with loss enabled "
+                    "would hang on the first drop; set retry_budget >= 1");
+  loss_rate_ = rate;
 }
 
 void ReliableChannel::send(NodeId src, NodeId dst, Bytes size,
@@ -59,14 +53,14 @@ void ReliableChannel::launch(std::uint64_t id) {
   p.flow = net_.start_flow(p.src, p.dst, p.attempt_bytes,
                            [this, id](FlowId) { on_attempt_complete(id); });
   p.flow_live = true;
-  if (!config_.enabled()) return;
+  if (loss_rate_ <= 0.0) return;
 
   // Doomed attempts are decided up front (one bernoulli per attempt) and the
   // drop lands at a uniform point inside the attempt's ideal serialization
   // window (bytes over the bottleneck line rate). That window lower-bounds
   // the real completion time — congestion only stretches it — so a doomed
   // attempt fails before it can finish no matter how small the transfer is.
-  if (rng_.bernoulli(config_.loss_rate)) {
+  if (rng_.bernoulli(loss_rate_)) {
     const Bandwidth line =
         std::min(net_.link_capacity(net_.node_link(p.src, Direction::kTx)),
                  net_.link_capacity(net_.node_link(p.dst, Direction::kRx)));
@@ -77,8 +71,7 @@ void ReliableChannel::launch(std::uint64_t id) {
         drop_after, [this, id] { fail_attempt(id, ChannelFault::Kind::kLoss); });
   }
   p.watchdog_remaining = static_cast<double>(p.attempt_bytes.count());
-  p.watchdog =
-      sim_.schedule_after(config_.stall_timeout, [this, id] { on_watchdog(id); });
+  p.watchdog = sim_.schedule_after(kStallTimeout, [this, id] { on_watchdog(id); });
 }
 
 void ReliableChannel::on_watchdog(std::uint64_t id) {
@@ -87,8 +80,7 @@ void ReliableChannel::on_watchdog(std::uint64_t id) {
   if (remaining < p.watchdog_remaining) {
     // Bytes moved since the last check: still alive, re-arm.
     p.watchdog_remaining = remaining;
-    p.watchdog =
-        sim_.schedule_after(config_.stall_timeout, [this, id] { on_watchdog(id); });
+    p.watchdog = sim_.schedule_after(kStallTimeout, [this, id] { on_watchdog(id); });
     return;
   }
   fail_attempt(id, ChannelFault::Kind::kTimeout);
@@ -102,14 +94,11 @@ void ReliableChannel::cancel_timers(Pending& p) {
 
 Duration ReliableChannel::backoff_for(std::size_t failed_attempts) {
   Duration backoff = kFirstBackoff;
-  for (std::size_t i = 1; i < failed_attempts && backoff < config_.backoff_cap;
-       ++i) {
+  for (std::size_t i = 1; i < failed_attempts && backoff < kBackoffCap; ++i) {
     backoff = backoff * std::int64_t{2};
   }
-  backoff = std::min(backoff, config_.backoff_cap);
-  if (config_.backoff_jitter > 0.0) {
-    backoff = backoff * (1.0 - config_.backoff_jitter * rng_.next_double());
-  }
+  backoff = std::min(backoff, kBackoffCap);
+  backoff = backoff * (1.0 - kBackoffJitter * rng_.next_double());
   return std::max(backoff, Duration::nanos(1));
 }
 
@@ -121,10 +110,9 @@ void ReliableChannel::fail_attempt(std::uint64_t id, ChannelFault::Kind kind) {
     remaining = net_.cancel_flow(p.flow);
     p.flow_live = false;
   }
-  PROPHET_CHECK_MSG(
-      p.attempts <= config_.retry_budget,
-      "reliable transfer exhausted its retry budget; raise "
-      "ReliabilityConfig::retry_budget or lower loss_rate");
+  PROPHET_CHECK_MSG(p.attempts <= retry_budget_,
+                    "reliable transfer exhausted its retry budget; raise "
+                    "ClusterConfig::retry_budget or lower the loss rate");
   // Byte-range resume: keep what drained, send only the tail.
   p.attempt_bytes = remaining;
   const Duration backoff = backoff_for(p.attempts);

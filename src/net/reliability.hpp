@@ -8,10 +8,10 @@
 // and a retry budget. A failed attempt resumes from the bytes already drained
 // (byte-range resume), so no byte goes over the wire twice.
 //
-// Pay-for-use: with loss_rate == 0 a send is exactly one start_flow and zero
-// extra events or RNG draws — a fault-free run is bit-identical to one built
-// without this layer. The channel still tracks the live FlowId so a crash
-// can abort in-flight transfers (abort_all).
+// Pay-for-use: at loss rate 0 (until set_loss_rate) a send is one start_flow
+// and zero extra events or RNG draws — a fault-free run is bit-identical to
+// one built without this layer. The channel still tracks the live FlowId so a
+// crash can abort in-flight transfers (abort_all).
 #pragma once
 
 #include <cstdint>
@@ -24,30 +24,6 @@
 #include "net/flow_network.hpp"
 
 namespace prophet::net {
-
-struct ReliabilityConfig {
-  // Per-attempt probability that the attempt is lost in flight.
-  double loss_rate = 0.0;
-  // No-progress watchdog: an attempt that drains nothing for this long is
-  // declared lost (covers both injected losses that stall the stream and
-  // flows parked behind a link outage). Long transfers keep resetting the
-  // watchdog as bytes drain, so the timeout does not bound transfer size.
-  Duration stall_timeout = Duration::millis(200);
-  // Exponential backoff before retry n: 2 ms * 2^(n-1), capped at
-  // backoff_cap.
-  Duration backoff_cap = Duration::millis(200);
-  // Fraction of the backoff subtracted uniformly at random (decorrelates
-  // retry storms after a shared fault).
-  double backoff_jitter = 0.2;
-  // Retries allowed per transfer beyond the first attempt; exhausting it
-  // aborts the run loudly (the simulation models a training job that would
-  // hang, not one that silently drops a gradient).
-  std::size_t retry_budget = 16;
-
-  [[nodiscard]] bool enabled() const { return loss_rate > 0.0; }
-  // Aborts with an actionable message on an ill-formed config.
-  void validate() const;
-};
 
 // Delivered to the sender's completion callback.
 struct SendOutcome {
@@ -70,7 +46,8 @@ class ReliableChannel {
   using CompleteFn = std::function<void(const SendOutcome&)>;
   using FaultFn = std::function<void(const ChannelFault&)>;
 
-  ReliableChannel(sim::Simulator& sim, FlowNetwork& net, ReliabilityConfig config,
+  // `retry_budget`: retries per transfer beyond its first attempt.
+  ReliableChannel(sim::Simulator& sim, FlowNetwork& net, std::size_t retry_budget,
                   Rng rng);
   ReliableChannel(const ReliableChannel&) = delete;
   ReliableChannel& operator=(const ReliableChannel&) = delete;
@@ -83,13 +60,13 @@ class ReliableChannel {
   // never fire and their flows are cancelled immediately.
   void abort_all();
 
-  // Runtime loss-rate update (dynamics `loss_rate` events).
+  // Per-attempt in-flight loss probability from now on (dynamics `loss_rate`
+  // events); must lie in [0, 1), and be 0 under a zero retry budget.
   void set_loss_rate(double rate);
 
   // Observer for retry events (metrics/trace recording); optional.
   void set_fault_handler(FaultFn fn) { on_fault_ = std::move(fn); }
 
-  [[nodiscard]] const ReliabilityConfig& config() const { return config_; }
   [[nodiscard]] std::size_t inflight() const { return sends_.size(); }
 
  private:
@@ -116,7 +93,8 @@ class ReliableChannel {
 
   sim::Simulator& sim_;
   FlowNetwork& net_;
-  ReliabilityConfig config_;
+  std::size_t retry_budget_;
+  double loss_rate_ = 0.0;
   Rng rng_;
   FaultFn on_fault_;
   // Keyed by a monotone id; point lookups plus a deterministic full walk in

@@ -42,17 +42,12 @@ void ClusterConfig::validate() const {
   PROPHET_CHECK_MSG(metrics_horizon > metrics_bin,
                     "ClusterConfig: metrics_horizon must exceed metrics_bin");
   dynamics.validate(num_workers, ps_shards);
-  reliability.validate();
   // A retry budget of zero cannot survive a single drop: the transfer fails
   // permanently and the BSP round never completes.
-  PROPHET_CHECK_MSG(
-      reliability.retry_budget > 0 ||
-          (reliability.loss_rate == 0.0 && !dynamics.has_loss()),
-      "ClusterConfig::reliability.retry_budget: transport loss is enabled "
-      "(reliability.loss_rate > 0 or a dynamics loss_rate event) but "
-      "retry_budget == 0, so the first dropped transfer would hang forever; "
-      "give the channel a positive retry budget (see ROADMAP 'crash-recovery "
-      "and reliable transport', docs/ROBUSTNESS.md)");
+  PROPHET_CHECK_MSG(retry_budget > 0 || !dynamics.has_loss(),
+                    "ClusterConfig::retry_budget: a dynamics loss_rate event "
+                    "enables transport loss, and a zero budget would hang the "
+                    "first dropped transfer forever (docs/ROBUSTNESS.md)");
   // Crash recovery replays BSP rounds; under ASP there is no round to roll
   // back to, so fault plans with crashes are rejected up front.
   PROPHET_CHECK_MSG(

@@ -13,7 +13,6 @@
 #include "net/cost_model.hpp"
 #include "net/dynamics.hpp"
 #include "net/monitor.hpp"
-#include "net/reliability.hpp"
 #include "net/topology.hpp"
 #include "ps/strategy.hpp"
 
@@ -45,11 +44,11 @@ struct ClusterConfig {
   // worker/PS crashes, transport loss). Empty by default: a static network.
   net::DynamicsPlan dynamics;
 
-  // Reliable-transport knobs shared by every worker<->PS channel (seeded
-  // loss, stall watchdog, bounded backoff, retry budget). Defaults lose
-  // nothing and draw no randomness — a fault-free run is bit-identical to
-  // one without the channel.
-  net::ReliabilityConfig reliability;
+  // Retries per worker<->PS transfer beyond its first attempt once a dynamics
+  // `loss_rate` event turns transport loss on; exhausting it aborts the run
+  // loudly (the simulation models a training job that would hang, not one
+  // that silently drops a gradient).
+  std::size_t retry_budget = 16;
 
   // PS checkpoint period: a `ps_crash` failover restores key versions to the
   // last multiple of this before the crash. Only consulted when the dynamics

@@ -91,7 +91,7 @@ JobRuntime::JobRuntime(sim::Simulator& sim, net::FlowNetwork& network,
     params.metrics_bin = cfg.metrics_bin;
     params.metrics_horizon = metrics_horizon;
     params.batch = cfg.batch;
-    params.reliability = cfg.reliability;
+    params.retry_budget = cfg.retry_budget;
     params.auditor = auditor_.get();
     workers_.push_back(
         std::make_unique<Worker>(sim_, network_, params, root.fork(w)));

@@ -80,10 +80,9 @@ StrategyConfig StrategyConfig::tictac() {
   return s;
 }
 
-StrategyConfig StrategyConfig::mg_wfbp(Bytes merge_bytes) {
+StrategyConfig StrategyConfig::mg_wfbp() {
   StrategyConfig s;
   s.kind = Kind::kMgWfbp;
-  s.mg_wfbp_config.merge_bytes = merge_bytes;
   return s;
 }
 
@@ -128,16 +127,15 @@ std::unique_ptr<sched::CommScheduler> make_scheduler(
     core::ProphetScheduler::BandwidthFn bandwidth_fn, const net::TcpCostModel& cost) {
   switch (strategy.kind) {
     case StrategyConfig::Kind::kFifo:
-      return std::make_unique<sched::FifoScheduler>(kind, strategy.blocking_ack);
+      return std::make_unique<sched::FifoScheduler>(kind);
     case StrategyConfig::Kind::kP3:
       return std::make_unique<sched::ByteSchedulerScheduler>(
-          kind, sched::ByteSchedulerConfig::p3(strategy.p3_partition,
-                                               strategy.blocking_ack));
+          kind, sched::ByteSchedulerConfig::p3(strategy.p3_partition));
     case StrategyConfig::Kind::kTicTac:
       return std::make_unique<sched::ByteSchedulerScheduler>(
-          kind, sched::ByteSchedulerConfig::tictac(strategy.blocking_ack));
+          kind, sched::ByteSchedulerConfig::tictac());
     case StrategyConfig::Kind::kMgWfbp:
-      return std::make_unique<sched::MgWfbpScheduler>(kind, strategy.mg_wfbp_config);
+      return std::make_unique<sched::MgWfbpScheduler>(kind);
     case StrategyConfig::Kind::kByteScheduler:
       return std::make_unique<sched::ByteSchedulerScheduler>(
           kind, strategy.bytescheduler_config);

@@ -32,11 +32,7 @@ struct StrategyConfig {
   Kind kind = Kind::kProphet;
   // P3 partition size (paper Sec. 5.1: 4 MB).
   Bytes p3_partition = Bytes::mib(4);
-  // Blocking-call acknowledgment charged per task by the MXNet-FIFO, P3 and
-  // TicTac baselines (server turnaround of their synchronous send paths).
-  Duration blocking_ack = Duration::micros(1500);
   sched::ByteSchedulerConfig bytescheduler_config;
-  sched::MgWfbpConfig mg_wfbp_config;
   core::ProphetConfig prophet_config;
 
   [[nodiscard]] std::string name() const;
@@ -45,7 +41,7 @@ struct StrategyConfig {
   static StrategyConfig fifo();
   static StrategyConfig p3(Bytes partition = Bytes::mib(4));
   static StrategyConfig tictac();
-  static StrategyConfig mg_wfbp(Bytes merge_bytes = Bytes::mib(8));
+  static StrategyConfig mg_wfbp();
   static StrategyConfig bytescheduler(Bytes credit = Bytes::mib(4),
                                       bool autotune = false);
   static StrategyConfig prophet(core::ProphetConfig config = {});

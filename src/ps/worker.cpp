@@ -31,7 +31,7 @@ Worker::Worker(sim::Simulator& sim, net::FlowNetwork& network, Params params, Rn
   // timeline exactly; sibling shards fork disjoint streams.
   for (std::size_t s = 0; s < params_.ps_nodes.size(); ++s) {
     channels_.push_back(std::make_unique<net::ReliableChannel>(
-        sim, network, params_.reliability, rng.fork(0xfa017 + s)));
+        sim, network, params_.retry_budget, rng.fork(0xfa017 + s)));
   }
 
   tx_monitor_ = std::make_unique<net::BandwidthMonitor>(

@@ -68,8 +68,8 @@ class Worker {
     Duration metrics_bin;
     Duration metrics_horizon;
     int batch;
-    // Reliable-transport knobs for this worker's channels to the PS shards.
-    net::ReliabilityConfig reliability;
+    // ClusterConfig::retry_budget, for this worker's channels to the PS.
+    std::size_t retry_budget = 0;
     // Optional passive BSP invariant checker (cluster-owned; may be null).
     audit::BspAuditor* auditor = nullptr;
   };
@@ -238,9 +238,9 @@ class Worker {
   std::vector<std::size_t> enqueue_iter_push_;
   std::optional<ActiveTask> push_active_;
   std::optional<ActiveTask> pull_active_;
-  // Re-poll timers for schedulers that decline work now but hold pending
-  // tensors whose release is time-driven (MG-WFBP age triggers, Prophet
-  // interval waits under mispredicted profiles).
+  // Re-poll timers for a scheduler that declines work now but holds pending
+  // tensors whose release is time-driven. Only MG-WFBP declines (its age
+  // trigger); Prophet always returns a task when work is queued.
   sim::EventHandle push_poll_;
   sim::EventHandle pull_poll_;
   // NIC hold-off deadlines from blocking/credit acknowledgments: pumps

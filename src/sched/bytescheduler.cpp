@@ -5,8 +5,9 @@
 namespace prophet::sched {
 
 namespace {
-// Lower end of the tuner's credit search range (Fig. 3(b): ~3 MB to 13 MB).
+// Credit search range explored by the tuner (Fig. 3(b): ~3 MB to 13 MB).
 constexpr Bytes kCreditMin = Bytes::mib(1);
+constexpr Bytes kCreditMax = Bytes::mib(16);
 // Seed of the tuner's own RNG stream (acquisition tie breaks and probe
 // jitter), fixed so a tuned run replays identically.
 constexpr std::uint64_t kTunerSeed = 0x5eed;
@@ -21,10 +22,8 @@ ByteSchedulerScheduler::ByteSchedulerScheduler(TaskKind kind, ByteSchedulerConfi
   PROPHET_CHECK_MSG(config_.credit_bytes.count() > 0,
                     "ByteSchedulerConfig::credit_bytes must be positive");
   if (config_.autotune) {
-    PROPHET_CHECK(config_.credit_max > kCreditMin);
-    tuner_ = std::make_unique<BayesOpt1D>(
-        static_cast<double>(kCreditMin.count()),
-        static_cast<double>(config_.credit_max.count()));
+    tuner_ = std::make_unique<BayesOpt1D>(static_cast<double>(kCreditMin.count()),
+                                          static_cast<double>(kCreditMax.count()));
   }
 }
 
@@ -40,8 +39,6 @@ std::optional<TransferTask> ByteSchedulerScheduler::next_task(TimePoint) {
   task.post_delay = config_.credit_ack_delay;
   return task;
 }
-
-void ByteSchedulerScheduler::on_task_done(const TransferTask&, TimePoint, TimePoint) {}
 
 void ByteSchedulerScheduler::on_iteration_end(std::size_t, TimePoint now) {
   if (!config_.autotune) return;

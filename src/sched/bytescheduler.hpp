@@ -41,24 +41,20 @@ struct ByteSchedulerConfig {
   bool autotune = false;
   // Iterations per tuning episode (rate is averaged over an episode).
   std::size_t tune_interval_iters = 5;
-  // Credit search range explored by the tuner (Fig. 3(b): ~3 MB to 13 MB):
-  // from 1 MiB (bytescheduler.cpp) up to credit_max.
-  Bytes credit_max = Bytes::mib(16);
   // Application-level acknowledgment that replenishes the credit window
   // after each group — one round trip of credit-based flow control.
   Duration credit_ack_delay = Duration::micros(1000);
 
   // P3: one `partition`-sized partition per blocking call (the paper's
   // evaluation uses 4 MB, Sec. 5.1), each acknowledged after `blocking_ack`.
-  static constexpr ByteSchedulerConfig p3(
-      Bytes partition, Duration blocking_ack = Duration::micros(1500)) {
+  static constexpr ByteSchedulerConfig p3(Bytes partition,
+                                          Duration blocking_ack = kBlockingAck) {
     return {.partition_bytes = partition,
             .credit_bytes = Bytes::of(1),
             .credit_ack_delay = blocking_ack};
   }
   // TicTac: P3 with whole-tensor partitions.
-  static constexpr ByteSchedulerConfig tictac(
-      Duration blocking_ack = Duration::micros(1500)) {
+  static constexpr ByteSchedulerConfig tictac(Duration blocking_ack = kBlockingAck) {
     return p3(Bytes::of(std::numeric_limits<std::int64_t>::max()), blocking_ack);
   }
 };
@@ -69,8 +65,6 @@ class ByteSchedulerScheduler final : public CommScheduler {
 
   void enqueue(std::size_t grad, Bytes bytes, TimePoint now) override;
   std::optional<TransferTask> next_task(TimePoint now) override;
-  void on_task_done(const TransferTask& task, TimePoint started,
-                    TimePoint finished) override;
   void on_iteration_end(std::size_t iteration, TimePoint now) override;
   // Lost queued partitions are dropped and the tuning episode restarts: the
   // iterations spanning a crash would feed the tuner a rate the credit did

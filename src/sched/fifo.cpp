@@ -18,6 +18,4 @@ std::optional<TransferTask> FifoScheduler::next_task(TimePoint) {
   return task;
 }
 
-void FifoScheduler::on_task_done(const TransferTask&, TimePoint, TimePoint) {}
-
 }  // namespace prophet::sched

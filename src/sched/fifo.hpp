@@ -2,8 +2,8 @@
 // in generation order, no priority, no slicing. WFBP overlap still applies
 // because the engine enqueues gradients as backward produces them. Each
 // key's send is a blocking KVStore call: the next send waits for the
-// server-side acknowledgment (`blocking_ack`), the cost the paper pins on
-// the conventional frameworks (Secs. 2.2, 6.1).
+// server-side acknowledgment (`blocking_ack`, kBlockingAck by default), the
+// cost the paper pins on the conventional frameworks (Secs. 2.2, 6.1).
 #pragma once
 
 #include <deque>
@@ -14,14 +14,11 @@ namespace prophet::sched {
 
 class FifoScheduler final : public CommScheduler {
  public:
-  explicit FifoScheduler(TaskKind kind,
-                         Duration blocking_ack = Duration::micros(1500))
+  explicit FifoScheduler(TaskKind kind, Duration blocking_ack = kBlockingAck)
       : CommScheduler{kind}, blocking_ack_{blocking_ack} {}
 
   void enqueue(std::size_t grad, Bytes bytes, TimePoint now) override;
   std::optional<TransferTask> next_task(TimePoint now) override;
-  void on_task_done(const TransferTask& task, TimePoint started,
-                    TimePoint finished) override;
   void on_recovery(TimePoint) override { queue_.clear(); }
   [[nodiscard]] bool has_pending() const override { return !queue_.empty(); }
 

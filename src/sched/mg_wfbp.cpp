@@ -4,11 +4,12 @@
 
 namespace prophet::sched {
 
-MgWfbpScheduler::MgWfbpScheduler(TaskKind kind, MgWfbpConfig config)
-    : CommScheduler{kind}, config_{config} {
-  PROPHET_CHECK(config_.merge_bytes.count() > 0);
-  PROPHET_CHECK(config_.max_delay >= Duration::zero());
-}
+namespace {
+// Target merged-message size: the startup-cost amortization point.
+constexpr Bytes kMergeBytes = Bytes::mib(8);
+// Emit a partial merge once its head tensor has waited this long.
+constexpr Duration kMaxDelay = Duration::millis(10);
+}  // namespace
 
 void MgWfbpScheduler::enqueue(std::size_t grad, Bytes bytes, TimePoint now) {
   PROPHET_CHECK(bytes.count() > 0);
@@ -22,15 +23,15 @@ std::optional<TransferTask> MgWfbpScheduler::next_task(TimePoint now) {
   // Merge condition: enough bytes buffered, or the most urgent buffered
   // tensor has waited long enough that holding it back costs more than the
   // startup saving.
-  const bool size_ready = buffered_ >= config_.merge_bytes;
-  const bool age_ready = now - buffer_.begin()->second.enqueued >= config_.max_delay;
+  const bool size_ready = buffered_ >= kMergeBytes;
+  const bool age_ready = now - buffer_.begin()->second.enqueued >= kMaxDelay;
   if (!size_ready && !age_ready) return std::nullopt;
 
   TransferTask task;
   task.kind = kind();
   Bytes taken{};
   auto it = buffer_.begin();
-  while (it != buffer_.end() && taken < config_.merge_bytes) {
+  while (it != buffer_.end() && taken < kMergeBytes) {
     task.items.push_back(
         TransferItem{it->first, Bytes::zero(), it->second.bytes, true});
     taken += it->second.bytes;
@@ -39,7 +40,5 @@ std::optional<TransferTask> MgWfbpScheduler::next_task(TimePoint now) {
   buffered_ -= taken;
   return task;
 }
-
-void MgWfbpScheduler::on_task_done(const TransferTask&, TimePoint, TimePoint) {}
 
 }  // namespace prophet::sched

@@ -6,10 +6,10 @@
 // generation timeline or the live bandwidth.
 //
 // In this engine: gradients accumulate in a priority buffer; a merge is
-// emitted when the buffered bytes reach `merge_bytes` or when the most
-// urgent buffered tensor has waited `max_delay`. It is the natural static
-// ancestor of Prophet's predictive blocks, which is why it appears in the
-// extended comparison bench.
+// emitted when the buffered bytes reach 8 MiB or when the most urgent
+// buffered tensor has waited 10 ms (both constants in mg_wfbp.cpp). It is the
+// natural static ancestor of Prophet's predictive blocks, which is why it
+// appears in the extended comparison bench.
 #pragma once
 
 #include <map>
@@ -18,21 +18,12 @@
 
 namespace prophet::sched {
 
-struct MgWfbpConfig {
-  // Target merged-message size: startup_cost amortization point.
-  Bytes merge_bytes = Bytes::mib(8);
-  // Emit a partial merge once its head tensor has waited this long.
-  Duration max_delay = Duration::millis(10);
-};
-
 class MgWfbpScheduler final : public CommScheduler {
  public:
-  MgWfbpScheduler(TaskKind kind, MgWfbpConfig config = {});
+  explicit MgWfbpScheduler(TaskKind kind) : CommScheduler{kind} {}
 
   void enqueue(std::size_t grad, Bytes bytes, TimePoint now) override;
   std::optional<TransferTask> next_task(TimePoint now) override;
-  void on_task_done(const TransferTask& task, TimePoint started,
-                    TimePoint finished) override;
   void on_recovery(TimePoint) override {
     buffer_.clear();
     buffered_ = Bytes::zero();
@@ -40,7 +31,6 @@ class MgWfbpScheduler final : public CommScheduler {
   [[nodiscard]] bool has_pending() const override { return !buffer_.empty(); }
 
  private:
-  MgWfbpConfig config_;
   struct Entry {
     Bytes bytes;
     TimePoint enqueued;

@@ -9,8 +9,8 @@
 //      updated at the PS).
 //   2. Whenever its NIC is idle the engine calls next_task(); the scheduler
 //      returns the next network operation or nullopt to stay idle.
-//   3. on_task_done() reports completion (BytePS's reportFinish), feeding
-//      strategies that learn from observed transfer times.
+//   3. on_task_done() reports completion (BytePS's reportFinish); none of
+//      the four strategies learns from it, so it defaults to a no-op.
 //
 // Constraint (8) of the paper — no concurrent gradient transfers — is the
 // engine's side of the contract: it never has more than one task in flight
@@ -29,6 +29,10 @@
 
 namespace prophet::sched {
 
+// Blocking-call acknowledgment charged per task by the MXNet-FIFO, P3 and
+// TicTac baselines (server turnaround of their synchronous send paths).
+inline constexpr Duration kBlockingAck = Duration::micros(1500);
+
 class CommScheduler {
  public:
   explicit CommScheduler(TaskKind kind) : kind_{kind} {}
@@ -41,9 +45,9 @@ class CommScheduler {
   virtual void enqueue(std::size_t grad, Bytes bytes, TimePoint now) = 0;
   // NIC is idle; return the next operation, or nullopt if nothing to send.
   virtual std::optional<TransferTask> next_task(TimePoint now) = 0;
-  // A previously returned task finished its network transfer.
+  // A previously returned task finished its network transfer; default no-op.
   virtual void on_task_done(const TransferTask& task, TimePoint started,
-                            TimePoint finished) = 0;
+                            TimePoint finished);
 
   // Iteration lifecycle hints (re-planning, auto-tuning epochs).
   virtual void on_iteration_start(std::size_t iteration, TimePoint now);
@@ -77,6 +81,7 @@ class CommScheduler {
   TaskKind kind_;
 };
 
+inline void CommScheduler::on_task_done(const TransferTask&, TimePoint, TimePoint) {}
 inline void CommScheduler::on_iteration_start(std::size_t, TimePoint) {}
 inline void CommScheduler::on_iteration_end(std::size_t, TimePoint) {}
 inline void CommScheduler::on_recovery(TimePoint) {}

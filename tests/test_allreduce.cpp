@@ -146,7 +146,7 @@ ps::ClusterConfig ar_config(ps::StrategyConfig strategy, double gbps = 2.0) {
 TEST(AllReduceCluster, CompletesForEveryStrategy) {
   for (auto strategy :
        {ps::StrategyConfig::fifo(), ps::StrategyConfig::p3(Bytes::kib(64)),
-        ps::StrategyConfig::tictac(), ps::StrategyConfig::mg_wfbp(Bytes::kib(256)),
+        ps::StrategyConfig::tictac(), ps::StrategyConfig::mg_wfbp(),
         ps::StrategyConfig::bytescheduler(Bytes::kib(256)),
         ps::StrategyConfig::prophet()}) {
     if (strategy.kind == ps::StrategyConfig::Kind::kByteScheduler) {
@@ -231,8 +231,8 @@ TEST(AllReduceClusterDeathTest, RejectsWhatTheRingDoesNotModel) {
   }
   {
     auto cfg = ar_config(ps::StrategyConfig::fifo());
-    cfg.reliability.loss_rate = 0.1;
-    EXPECT_DEATH((void)run_allreduce(cfg), "ClusterConfig::reliability.loss_rate");
+    cfg.dynamics.loss_rate(Duration::zero(), 0.1);
+    EXPECT_DEATH((void)run_allreduce(cfg), "ClusterConfig::dynamics");
   }
 }
 

@@ -113,7 +113,7 @@ TEST(ByteScheduler, AutotuneAdjustsCreditAcrossEpisodes) {
   }
   EXPECT_TRUE(changed);
   EXPECT_GE(bs.credit_bytes(), cfg.partition_bytes);
-  EXPECT_LE(bs.credit_bytes().count(), cfg.credit_max.count());
+  EXPECT_LE(bs.credit_bytes().count(), Bytes::mib(16).count());  // tuner bound
 }
 
 TEST(ByteScheduler, PreemptionWithinCreditGranularity) {

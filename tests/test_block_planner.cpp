@@ -42,19 +42,21 @@ TEST(BlockPlanner, AssemblesBlocksWithinIntervals) {
 }
 
 TEST(BlockPlanner, DefersGradientsThatDoNotFit) {
-  // Tight interval: only the small gradient fits before the next event.
-  const auto profile = make_profile({12_ms, 0_ms, 0_ms},
-                                    {Bytes::mib(1), Bytes::mib(4), Bytes::kib(512)});
-  const BlockPlanner planner{simple_cost(), {.budget_margin = 0.0}};
+  // Tight interval: gradient 1 (9.5 MiB, 96 ms) would fit the raw 100 ms gap
+  // but not the 95 ms the 5% budget margin leaves, so only the small gradient
+  // 2 (6 ms) fits before the next event.
+  const auto profile = make_profile({100_ms, 0_ms, 0_ms},
+                                    {Bytes::mib(1), Bytes::kib(9728), Bytes::kib(512)});
+  const BlockPlanner planner{simple_cost()};
   const Schedule schedule =
       planner.plan(profile, Bandwidth::bytes_per_sec(kMiBps100));
-  // Priority order within the ready set: gradient 1 (4 MiB, 41 ms) does NOT
-  // fit in 12 ms and blocks gradient 2 from jumping ahead (strict priority).
+  // Priority order within the ready set: gradient 1 does NOT fit and blocks
+  // gradient 2 from jumping ahead (strict priority).
   ASSERT_FALSE(schedule.tasks.empty());
   // Forward phase then drains 0, 1, 2 in priority order.
   std::vector<std::size_t> forward_order;
   for (const auto& task : schedule.tasks) {
-    if (task.start >= 12_ms) {
+    if (task.start >= 100_ms) {
       for (std::size_t g : task.grads) forward_order.push_back(g);
     }
   }
@@ -117,16 +119,20 @@ TEST(BlockPlanner, SingleGradientModel) {
 }
 
 TEST(BlockPlanner, BudgetMarginShrinksBlocks) {
-  // With a huge margin nothing fits inside intervals; everything drains in
-  // the forward phase in priority order.
-  const auto profile = make_profile({20_ms, 0_ms, 0_ms},
+  // The 22 ms gap would hold both ready gradients (1 + 10 + 10 = 21 ms), but
+  // the 5% margin leaves 20.9 ms: the block carries gradient 1 alone, and
+  // gradient 2 drains after gradient 0 in the forward phase.
+  const auto profile = make_profile({22_ms, 0_ms, 0_ms},
                                     {Bytes::mib(1), Bytes::mib(1), Bytes::mib(1)});
-  const BlockPlanner tight{simple_cost(), {.budget_margin = 0.99}};
+  const BlockPlanner planner{simple_cost()};
   const Schedule schedule =
-      tight.plan(profile, Bandwidth::bytes_per_sec(kMiBps100));
-  EXPECT_EQ(schedule.tasks.size(), 3u);
-  for (const auto& task : schedule.tasks) EXPECT_GE(task.start, 20_ms);
-  EXPECT_EQ(schedule.tasks[0].grads[0], 0u);
+      planner.plan(profile, Bandwidth::bytes_per_sec(kMiBps100));
+  ASSERT_EQ(schedule.tasks.size(), 3u);
+  EXPECT_EQ(schedule.tasks[0].grads, (std::vector<std::size_t>{1}));
+  EXPECT_EQ(schedule.tasks[0].start, 0_ms);
+  EXPECT_EQ(schedule.tasks[1].grads, (std::vector<std::size_t>{0}));
+  EXPECT_EQ(schedule.tasks[1].start, 22_ms);
+  EXPECT_EQ(schedule.tasks[2].grads, (std::vector<std::size_t>{2}));
 }
 
 }  // namespace

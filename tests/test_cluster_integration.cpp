@@ -41,8 +41,7 @@ class EveryStrategy : public ::testing::TestWithParam<StrategyConfig::Kind> {
         return s;
       }
       case StrategyConfig::Kind::kTicTac: return StrategyConfig::tictac();
-      case StrategyConfig::Kind::kMgWfbp:
-        return StrategyConfig::mg_wfbp(Bytes::kib(256));
+      case StrategyConfig::Kind::kMgWfbp: return StrategyConfig::mg_wfbp();
       case StrategyConfig::Kind::kProphet: return StrategyConfig::prophet();
     }
     return StrategyConfig::fifo();

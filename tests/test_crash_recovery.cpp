@@ -117,8 +117,8 @@ TEST(CrashRecovery, ProphetRepairsItsPlanAfterACrash) {
 TEST(CrashRecovery, TransportLossRetriesAndStillConverges) {
   auto cfg = small_config(ps::StrategyConfig::p3());
   const auto baseline = run_cluster(cfg, 1);
-  cfg.reliability.loss_rate = 0.05;
-  cfg.reliability.retry_budget = 64;
+  cfg.dynamics.loss_rate(Duration::zero(), 0.05);
+  cfg.retry_budget = 64;
   cfg.keep_transfer_records = true;
   const auto lossy = run_cluster(cfg, 1);
   std::size_t retries = 0;
@@ -140,7 +140,7 @@ TEST(CrashRecovery, TransportLossRetriesAndStillConverges) {
 
 TEST(CrashRecovery, DynamicsPlanTogglesLossMidRun) {
   auto cfg = small_config(ps::StrategyConfig::fifo());
-  cfg.reliability.retry_budget = 64;
+  cfg.retry_budget = 64;
   cfg.dynamics.loss_rate(200_ms, 0.2);
   const auto result = run_cluster(cfg, 1);
   TimePoint first_retry = TimePoint::origin() + cfg.metrics_horizon;
@@ -160,16 +160,16 @@ TEST(CrashRecovery, DynamicsPlanTogglesLossMidRun) {
 TEST(CrashRecoveryDeathTest, ConfigRejectsIllFormedFaultPlans) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   {
-    // Loss with a zero retry budget hangs on the first drop.
+    // Loss from the start with a zero retry budget hangs on the first drop.
     auto cfg = small_config(ps::StrategyConfig::fifo());
-    cfg.reliability.loss_rate = 0.1;
-    cfg.reliability.retry_budget = 0;
+    cfg.dynamics.loss_rate(Duration::zero(), 0.1);
+    cfg.retry_budget = 0;
     EXPECT_DEATH(cfg.validate(), "retry");
   }
   {
-    // Same rejection when the loss arrives via the dynamics plan.
+    // Same rejection when the loss arrives mid-run.
     auto cfg = small_config(ps::StrategyConfig::fifo());
-    cfg.reliability.retry_budget = 0;
+    cfg.retry_budget = 0;
     cfg.dynamics.loss_rate(1_s, 0.1);
     EXPECT_DEATH(cfg.validate(), "retry");
   }

@@ -156,6 +156,27 @@ TEST(DynamicsPlan, SpecParsingRoundTrips) {
   plan.sort();
   plan.validate(2);
   EXPECT_EQ(plan.events.size(), 4u);
+
+  // Times must be non-negative and fit Duration's int64 nanoseconds, and so
+  // must a window's end: past ~9.2e9 s Duration::from_seconds is an undefined
+  // cast, and `at + duration` would wrap.
+  for (const char* spec : {"step:1e300:0.5", "step:-1:0.5", "fluctuate:0.3:1e300"}) {
+    EXPECT_FALSE(net::DynamicsPlan::from_spec(spec, 1, 4_s, 2, &error).has_value())
+        << spec;
+  }
+  net::DynamicsPlan bad;
+  EXPECT_FALSE(bad.add_outage_spec("1e300:1", &error));
+  EXPECT_EQ(error, "--outage wants T_S:DUR_S[:WORKER]");
+  EXPECT_FALSE(bad.add_outage_spec("1:1e300", &error));
+  EXPECT_FALSE(bad.add_outage_spec("9e9:9e9", &error));  // each fits; the end does not
+  EXPECT_FALSE(bad.add_outage_spec("-1:1", &error));
+  EXPECT_FALSE(bad.add_straggler_spec("0:1.5:1e300", &error));
+  EXPECT_FALSE(bad.add_ps_degrade_spec("2:1e300", &error));
+  EXPECT_FALSE(bad.add_worker_crash_spec("9e9:9e9:1", &error));
+  EXPECT_FALSE(bad.add_ps_crash_spec("1e300:1", &error));
+  EXPECT_FALSE(bad.add_ps_crash_spec("9e9:9e9:shard:0", &error));
+  EXPECT_FALSE(bad.add_loss_spec("0.1:1e300", &error));
+  EXPECT_TRUE(bad.empty());
 }
 
 TEST(DynamicsPlan, CrashSpecParsingAndErrorPaths) {
@@ -237,7 +258,9 @@ TEST(DynamicsPlan, TraceCsvErrorPaths) {
   EXPECT_NE(error.find("bad target"), std::string::npos);
   // Non-finite times and values fail here, before Duration::from_seconds or
   // the run sees them.
-  for (const char* row : {"nan,bandwidth_scale,*,0.5", "inf,bandwidth_scale,*,0.5"}) {
+  // So do times past Duration's int64 nanoseconds (~9.2e9 s).
+  for (const char* row : {"nan,bandwidth_scale,*,0.5", "inf,bandwidth_scale,*,0.5",
+                          "1e300,bandwidth_scale,*,0.5", "9.3e9,outage_start,*,0"}) {
     EXPECT_FALSE(write_and_parse(row).has_value()) << row;
     EXPECT_NE(error.find("bad time"), std::string::npos) << row;
   }

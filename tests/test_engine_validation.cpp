@@ -37,8 +37,9 @@ TEST(EngineValidation, PerfModelSpanTracksSimulatedIterationTime) {
   cfg.iterations = 12;
   cfg.jitter_sigma = 0.0;
   cfg.topology = net::TopologySpec::star(Bandwidth::gbps(2), Bandwidth::gbps(10));
-  cfg.strategy = ps::StrategyConfig::tictac();
-  cfg.strategy.blocking_ack = Duration::zero();
+  // TicTac with a zero blocking ack is a ByteScheduler setting.
+  cfg.strategy = ps::StrategyConfig::bytescheduler();
+  cfg.strategy.bytescheduler_config = sched::ByteSchedulerConfig::tictac(Duration::zero());
   const auto result = ps::run_cluster(cfg, 4);
   const Duration simulated =
       result.workers[0].training.mean_iteration_time(4, 12);

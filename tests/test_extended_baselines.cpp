@@ -56,58 +56,49 @@ TEST(TicTacDeath, DoubleEnqueueAborts) {
 }
 
 TEST(MgWfbp, WaitsForMergeThreshold) {
-  MgWfbpConfig cfg;
-  cfg.merge_bytes = Bytes::mib(4);
-  cfg.max_delay = 100_ms;
-  MgWfbpScheduler mg{TaskKind::kPush, cfg};
-  mg.enqueue(9, Bytes::mib(1), at(0));
-  mg.enqueue(8, Bytes::mib(1), at(0));
-  EXPECT_FALSE(mg.next_task(at(0)).has_value());  // below threshold, not aged
+  MgWfbpScheduler mg{TaskKind::kPush};
+  mg.enqueue(9, Bytes::mib(2), at(0));
+  mg.enqueue(8, Bytes::mib(2), at(0));
+  EXPECT_FALSE(mg.next_task(at(0)).has_value());  // below 8 MiB, not aged
   EXPECT_TRUE(mg.has_pending());
-  mg.enqueue(7, Bytes::mib(2), at(1));
+  mg.enqueue(7, Bytes::mib(4), at(1));
   const auto task = mg.next_task(at(1));
   ASSERT_TRUE(task.has_value());
-  EXPECT_EQ(task->total_bytes(), Bytes::mib(4));
+  EXPECT_EQ(task->total_bytes(), Bytes::mib(8));
   EXPECT_EQ(task->items.size(), 3u);
   EXPECT_EQ(task->items[0].grad, 7u);  // priority order inside the merge
 }
 
 TEST(MgWfbp, AgeTriggerFlushesPartialMerge) {
-  MgWfbpConfig cfg;
-  cfg.merge_bytes = Bytes::mib(64);
-  cfg.max_delay = 5_ms;
-  MgWfbpScheduler mg{TaskKind::kPush, cfg};
+  MgWfbpScheduler mg{TaskKind::kPush};
   mg.enqueue(3, Bytes::mib(1), at(0));
-  EXPECT_FALSE(mg.next_task(at(4)).has_value());
-  const auto task = mg.next_task(at(5));
+  EXPECT_FALSE(mg.next_task(at(9)).has_value());
+  const auto task = mg.next_task(at(10));  // the head has waited 10 ms
   ASSERT_TRUE(task.has_value());
   EXPECT_EQ(task->items[0].grad, 3u);
   EXPECT_FALSE(mg.has_pending());
 }
 
 TEST(MgWfbp, MergeStopsAtThreshold) {
-  MgWfbpConfig cfg;
-  cfg.merge_bytes = Bytes::mib(2);
-  MgWfbpScheduler mg{TaskKind::kPush, cfg};
-  for (std::size_t g = 0; g < 5; ++g) mg.enqueue(g, Bytes::mib(1), at(0));
+  MgWfbpScheduler mg{TaskKind::kPush};
+  for (std::size_t g = 0; g < 10; ++g) mg.enqueue(g, Bytes::mib(2), at(0));
   const auto first = mg.next_task(at(0));
   ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->items.size(), 2u);
+  EXPECT_EQ(first->items.size(), 4u);  // 4 x 2 MiB reach the 8 MiB threshold
   EXPECT_EQ(first->items[0].grad, 0u);
   const auto second = mg.next_task(at(0));
-  EXPECT_EQ(second->items[0].grad, 2u);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->items[0].grad, 4u);
 }
 
 TEST(MgWfbp, AgeOfMostUrgentGoverns) {
-  MgWfbpConfig cfg;
-  cfg.merge_bytes = Bytes::mib(64);
-  cfg.max_delay = 10_ms;
-  MgWfbpScheduler mg{TaskKind::kPush, cfg};
+  MgWfbpScheduler mg{TaskKind::kPush};
   mg.enqueue(9, Bytes::mib(1), at(0));
   mg.enqueue(1, Bytes::mib(1), at(8));  // more urgent but younger
   // At 10 ms: gradient 1 (head of the buffer) is only 2 ms old -> hold.
   EXPECT_FALSE(mg.next_task(at(10)).has_value());
-  // At 18 ms the head has aged past max_delay -> flush everything buffered.
+  // At 18 ms the head has aged past the 10 ms delay -> flush everything
+  // buffered.
   const auto task = mg.next_task(at(18));
   ASSERT_TRUE(task.has_value());
   EXPECT_EQ(task->items.size(), 2u);

@@ -292,7 +292,7 @@ TEST(IncrementalRates, ClusterFaultPlanVerified) {
   cfg.seed = 3;
   cfg.topology = TopologySpec::star(Bandwidth::gbps(1), Bandwidth::gbps(1));
   cfg.strategy = ps::StrategyConfig::fifo();
-  cfg.reliability.retry_budget = 64;
+  cfg.retry_budget = 64;
   cfg.checkpoint_period = 40_ms;
   cfg.dynamics.loss_rate(10_ms, 0.05);
   cfg.dynamics.worker_crash(60_ms, 25_ms, 1);
@@ -413,7 +413,7 @@ TEST(RateGroups, ClusterCrashPlanAbortsGroupedFlowsVerified) {
   cfg.seed = 13;
   cfg.topology = TopologySpec::star(Bandwidth::gbps(1), Bandwidth::gbps(1));
   cfg.strategy = ps::StrategyConfig::fifo();
-  cfg.reliability.retry_budget = 64;
+  cfg.retry_budget = 64;
   for (std::size_t w = 0; w < 4; ++w) {
     cfg.dynamics.worker_crash(
         Duration::millis(static_cast<std::int64_t>(40 + 5 * w)), 20_ms, w);

@@ -29,7 +29,6 @@ TEST(ProphetScheduler, RunsEngineDefaultWhileProfiling) {
   // Before the profile exists Prophet behaves like the underlying BytePS
   // engine: priority order, credit-sized groups.
   ProphetConfig config;
-  config.partition_bytes = Bytes::mib(1);
   config.min_block = Bytes::mib(2);
   ProphetScheduler sched{TaskKind::kPush, 3,
                          [] { return Bandwidth::gbps(1); }, simple_cost(), config};
@@ -88,7 +87,6 @@ TEST(ProphetScheduler, Fig5PartialGradientBeforeGradientZero) {
   // The paper's illustrative example: only two of gradient 1's three
   // 1 MiB partitions fit before gradient 0 is generated.
   ProphetConfig config;
-  config.partition_bytes = Bytes::mib(1);
   config.budget_margin = 0.0;
   config.min_block = Bytes::of(1);
   config.forward_group_max = Bytes::mib(1);  // isolate per-gradient drain tasks
@@ -177,7 +175,7 @@ TEST(ProphetScheduler, PullSideGroupsReadyParamsByPriority) {
 }
 
 // Drain groups shrink with monitored instability: a bandwidth drop past the
-// 2% dead-band cuts them to the floor max(partition_bytes,
+// 2% dead-band cuts them to the floor max(one 1 MiB partition,
 // forward_group_max / 4), and while the estimate holds steady the peak-hold
 // signal decays by 0.95 per iteration, so the groups grow back gradually.
 TEST(ProphetScheduler, DrainGroupsShrinkWithInstabilityAndRecoverGradually) {

@@ -15,6 +15,9 @@ namespace {
 
 using namespace prophet::literals;
 
+// ClusterConfig::retry_budget's default.
+constexpr std::size_t kRetryBudget = 16;
+
 TcpCostModel no_overhead_model() {
   TcpCostParams params;
   params.per_task_overhead = 0_ns;
@@ -35,7 +38,7 @@ struct Fixture {
 
 TEST(Reliability, LossFreeSendIsOneAttemptAtLineRate) {
   Fixture f;
-  ReliableChannel channel{f.sim, f.net, ReliabilityConfig{}, Rng{7}};
+  ReliableChannel channel{f.sim, f.net, kRetryBudget, Rng{7}};
   bool done = false;
   channel.send(f.a, f.b, Bytes::of(125'000'000), [&](const SendOutcome& out) {
     done = true;
@@ -59,7 +62,7 @@ TEST(Reliability, LossFreeChannelAddsNoEventsOverBareFlow) {
     bare_events = f.sim.events_fired();
   }
   Fixture f;
-  ReliableChannel channel{f.sim, f.net, ReliabilityConfig{}, Rng{7}};
+  ReliableChannel channel{f.sim, f.net, kRetryBudget, Rng{7}};
   channel.send(f.a, f.b, Bytes::mib(64), [](const SendOutcome&) {});
   f.sim.run();
   EXPECT_EQ(f.sim.events_fired(), bare_events);
@@ -67,10 +70,8 @@ TEST(Reliability, LossFreeChannelAddsNoEventsOverBareFlow) {
 
 TEST(Reliability, LossyTransferRetriesUntilDelivered) {
   Fixture f;
-  ReliabilityConfig config;
-  config.loss_rate = 0.7;
-  config.retry_budget = 64;
-  ReliableChannel channel{f.sim, f.net, config, Rng{3}};
+  ReliableChannel channel{f.sim, f.net, 64, Rng{3}};
+  channel.set_loss_rate(0.7);
   std::vector<ChannelFault> faults;
   channel.set_fault_handler(
       [&](const ChannelFault& fault) { faults.push_back(fault); });
@@ -104,10 +105,8 @@ TEST(Reliability, LossyTransferRetriesUntilDelivered) {
 TEST(Reliability, SameSeedReplaysTheIdenticalFaultTimeline) {
   auto run = [](std::uint64_t seed) {
     Fixture f;
-    ReliabilityConfig config;
-    config.loss_rate = 0.5;
-    config.retry_budget = 64;
-    ReliableChannel channel{f.sim, f.net, config, Rng{seed}};
+    ReliableChannel channel{f.sim, f.net, 64, Rng{seed}};
+    channel.set_loss_rate(0.5);
     std::size_t attempts = 0;
     channel.send(f.a, f.b, Bytes::mib(32), [&](const SendOutcome& out) {
       attempts = out.attempts;
@@ -126,20 +125,17 @@ TEST(Reliability, SameSeedReplaysTheIdenticalFaultTimeline) {
 
 TEST(Reliability, WatchdogRecoversFlowParkedBehindOutage) {
   Fixture f;
-  ReliabilityConfig config;
-  config.loss_rate = 1e-9;  // enabled, but effectively never drops on its own
-  config.stall_timeout = Duration::millis(50);
-  config.retry_budget = 64;
-  ReliableChannel channel{f.sim, f.net, config, Rng{5}};
+  ReliableChannel channel{f.sim, f.net, 64, Rng{5}};
+  channel.set_loss_rate(1e-9);  // enabled, but effectively never drops on its own
   std::size_t timeouts = 0;
   channel.set_fault_handler([&](const ChannelFault& fault) {
     if (fault.kind == ChannelFault::Kind::kTimeout) ++timeouts;
   });
   bool done = false;
   channel.send(f.a, f.b, Bytes::mib(8), [&](const SendOutcome&) { done = true; });
-  // Take the destination link down immediately and bring it back later: the
-  // parked flow makes no progress, the watchdog declares it lost, and a
-  // retry after the outage delivers.
+  // Take the destination link down immediately and bring it back after the
+  // 200 ms stall timeout: the parked flow makes no progress, the watchdog
+  // declares it lost, and a retry after the outage delivers.
   f.net.set_link_state(f.net.access_links(f.b), false);
   f.sim.schedule_at(TimePoint::origin() + Duration::millis(300),
                     [&] { f.net.set_link_state(f.net.access_links(f.b), true); });
@@ -150,7 +146,7 @@ TEST(Reliability, WatchdogRecoversFlowParkedBehindOutage) {
 
 TEST(Reliability, AbortAllSuppressesCompletionCallbacks) {
   Fixture f;
-  ReliableChannel channel{f.sim, f.net, ReliabilityConfig{}, Rng{7}};
+  ReliableChannel channel{f.sim, f.net, kRetryBudget, Rng{7}};
   bool fired = false;
   channel.send(f.a, f.b, Bytes::mib(64), [&](const SendOutcome&) { fired = true; });
   f.sim.schedule_at(TimePoint::origin() + Duration::millis(1),
@@ -162,43 +158,28 @@ TEST(Reliability, AbortAllSuppressesCompletionCallbacks) {
 
 TEST(Reliability, ExhaustedRetryBudgetAbortsLoudly) {
   Fixture f;
-  ReliabilityConfig config;
-  config.loss_rate = 0.999;  // every attempt is practically doomed
-  // Drops land inside the first 20ms, well before the ~64ms the transfer
-  // needs, so a doomed attempt can never sneak through.
-  config.stall_timeout = Duration::millis(20);
-  config.retry_budget = 2;
-  ReliableChannel channel{f.sim, f.net, config, Rng{9}};
+  ReliableChannel channel{f.sim, f.net, 2, Rng{9}};
+  // Every attempt is practically doomed. A drop lands inside the attempt's
+  // ideal ~67 ms serialization window, well before the 200 ms stall timeout,
+  // so a doomed attempt can never sneak through.
+  channel.set_loss_rate(0.999);
   channel.send(f.a, f.b, Bytes::mib(8), [](const SendOutcome&) {});
   EXPECT_DEATH(f.sim.run(), "retry budget");
 }
 
 TEST(Reliability, ValidateRejectsIllFormedConfigs) {
+  Fixture f;
   {
-    ReliabilityConfig config;
-    config.loss_rate = -0.1;
-    EXPECT_DEATH(config.validate(), "loss_rate");
+    ReliableChannel channel{f.sim, f.net, kRetryBudget, Rng{7}};
+    EXPECT_DEATH(channel.set_loss_rate(-0.1), "loss rate");
+    EXPECT_DEATH(channel.set_loss_rate(1.0), "loss rate");
   }
   {
-    ReliabilityConfig config;
-    config.loss_rate = 1.0;
-    EXPECT_DEATH(config.validate(), "loss_rate");
-  }
-  {
-    ReliabilityConfig config;
-    config.loss_rate = 0.1;
-    config.retry_budget = 0;
-    EXPECT_DEATH(config.validate(), "retry_budget");
-  }
-  {
-    ReliabilityConfig config;
-    config.backoff_cap = Duration::nanos(1);
-    EXPECT_DEATH(config.validate(), "backoff_cap");
-  }
-  {
-    ReliabilityConfig config;
-    config.backoff_jitter = 1.5;
-    EXPECT_DEATH(config.validate(), "backoff_jitter");
+    // A zero budget is fine until loss turns on: then the first drop would
+    // hang the transfer.
+    ReliableChannel channel{f.sim, f.net, 0, Rng{7}};
+    channel.set_loss_rate(0.0);
+    EXPECT_DEATH(channel.set_loss_rate(0.1), "retry budget");
   }
 }
 

@@ -44,10 +44,7 @@ std::vector<FuzzCase> all_schedulers() {
                          TaskKind::kPush, sched::ByteSchedulerConfig::tictac());
                    }});
   cases.push_back({"mg_wfbp", [](std::size_t) {
-                     sched::MgWfbpConfig cfg;
-                     cfg.merge_bytes = Bytes::kib(512);
-                     cfg.max_delay = 4_ms;
-                     return make_unique<sched::MgWfbpScheduler>(TaskKind::kPush, cfg);
+                     return make_unique<sched::MgWfbpScheduler>(TaskKind::kPush);
                    }});
   cases.push_back({"bytescheduler", [](std::size_t) {
                      sched::ByteSchedulerConfig cfg;
@@ -57,20 +54,16 @@ std::vector<FuzzCase> all_schedulers() {
                                                                        cfg);
                    }});
   cases.push_back({"prophet_profiling", [](std::size_t grads) {
-                     core::ProphetConfig cfg;
-                     cfg.partition_bytes = Bytes::kib(128);
                      return make_unique<core::ProphetScheduler>(
                          TaskKind::kPush, grads,
                          [] { return Bandwidth::gbps(1); },
-                         net::TcpCostModel{}, cfg);
+                         net::TcpCostModel{});
                    }});
   cases.push_back({"prophet_active", [](std::size_t grads) {
-                     core::ProphetConfig cfg;
-                     cfg.partition_bytes = Bytes::kib(128);
                      auto sched = make_unique<core::ProphetScheduler>(
                          TaskKind::kPush, grads,
                          [] { return Bandwidth::gbps(1); },
-                         net::TcpCostModel{}, cfg);
+                         net::TcpCostModel{});
                      // Synthetic profile: one gradient per 5 ms step.
                      core::GradientProfile profile;
                      for (std::size_t g = 0; g < grads; ++g) {

@@ -241,21 +241,20 @@ TEST(ShardedPsDeathTest, ConfigRejectsBadShardPlans) {
 TEST(ShardedPsDeathTest, ValidateDiagnosticsNameTheOffendingField) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   {
-    // Static loss with no retries is caught by the transport config itself;
-    // the message still names the field to fix.
+    // Loss from the start with no retries: the message names the field to
+    // fix.
     auto cfg = small_config(ps::StrategyConfig::fifo());
-    cfg.reliability.loss_rate = 0.1;
-    cfg.reliability.retry_budget = 0;
-    EXPECT_DEATH(cfg.validate(), "retry_budget");
+    cfg.dynamics.loss_rate(Duration::zero(), 0.1);
+    cfg.retry_budget = 0;
+    EXPECT_DEATH(cfg.validate(), "ClusterConfig::retry_budget");
   }
   {
-    // Loss that only arrives via a dynamics event passes the transport's own
-    // check (loss is disabled at t=0) — the ClusterConfig cross-check names
-    // the exact field and where the requirement comes from.
+    // Loss that arrives mid-run is caught before simulating all the same,
+    // naming the exact field and where the requirement comes from.
     auto cfg = small_config(ps::StrategyConfig::fifo());
-    cfg.reliability.retry_budget = 0;
+    cfg.retry_budget = 0;
     cfg.dynamics.loss_rate(1_s, 0.1);
-    EXPECT_DEATH(cfg.validate(), "reliability.retry_budget");
+    EXPECT_DEATH(cfg.validate(), "ClusterConfig::retry_budget.*loss_rate");
   }
   {
     // The ASP-crash rejection points at the ROADMAP item that would lift it.

@@ -26,6 +26,16 @@ TEST(Duration, FromSecondsRoundsToNearestNanosecond) {
   EXPECT_EQ(Duration::from_seconds(-1.6e-9).count_nanos(), -2);
 }
 
+TEST(Duration, FitsSecondsBoundsTheNanosecondCast) {
+  EXPECT_TRUE(Duration::fits_seconds(0.0));
+  EXPECT_TRUE(Duration::fits_seconds(9.2e9));  // ~292 years of nanoseconds
+  EXPECT_TRUE(Duration::fits_seconds(-9.2e9));
+  for (double s : {9.3e9, -9.3e9, 1e300, std::numeric_limits<double>::infinity(),
+                   std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_FALSE(Duration::fits_seconds(s)) << s;
+  }
+}
+
 TEST(Duration, Arithmetic) {
   const Duration a = 100_ms;
   const Duration b = 50_ms;

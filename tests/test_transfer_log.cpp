@@ -167,8 +167,8 @@ ps::ClusterConfig case_config(const std::string& name) {
   }
   // p3_lossy: retransmitted pushes carry attempts > 1.
   auto cfg = small_config(ps::StrategyConfig::p3(Bytes::kib(64)));
-  cfg.reliability.loss_rate = 0.05;
-  cfg.reliability.retry_budget = 64;
+  cfg.dynamics.loss_rate(Duration::zero(), 0.05);
+  cfg.retry_budget = 64;
   return cfg;
 }
 
@@ -230,7 +230,7 @@ TEST_P(StreamedSummaries, MatchRecomputationFromKeptRecords) {
     }
   }
   // The lossy case is only meaningful if its run retransmits.
-  if (cfg.reliability.loss_rate > 0.0) {
+  if (cfg.dynamics.has_loss()) {
     EXPECT_GT(retransmitted, 0u);
   }
 }

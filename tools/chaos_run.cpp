@@ -119,7 +119,7 @@ ps::ClusterConfig base_config(const ps::StrategyConfig& strategy,
   cfg.topology = net::TopologySpec::star(Bandwidth::gbps(1), Bandwidth::gbps(1));
   cfg.strategy = strategy;
   cfg.strategy.prophet_config.profile_iterations = 4;
-  cfg.reliability.retry_budget = 64;
+  cfg.retry_budget = 64;
   cfg.checkpoint_period = 40_ms;
   cfg.keep_transfer_records = true;  // the fingerprint hashes every record
   return cfg;
@@ -422,10 +422,18 @@ int run_chaos(std::size_t seeds, std::size_t iterations, unsigned threads,
 
 int main(int argc, char** argv) {
   std::string error;
-  const auto flags = prophet::Flags::parse(argc, argv, &error);
+  const auto flags = prophet::Flags::parse(
+      argc, argv, {"seeds", "iterations", "threads", "verbose"}, &error);
   if (!flags) {
     std::fprintf(stderr, "chaos_run: %s\n", error.c_str());
-    return 2;
+    return 1;
+  }
+  // A negative count would wrap to a huge unsigned value below.
+  for (const char* count : {"seeds", "iterations", "threads"}) {
+    if (flags->get(count, std::int64_t{0}) < 0) {
+      std::fprintf(stderr, "chaos_run: --%s must be non-negative\n", count);
+      return 1;
+    }
   }
   const auto seeds = static_cast<std::size_t>(flags->get("seeds", std::int64_t{20}));
   const auto iterations =
