@@ -49,7 +49,7 @@ void usage() {
       "                     (default prophet)\n"
       "  --arch NAME        ps|allreduce (default ps)\n"
       "  --profile-iters N  Prophet profiling length (default 10)\n"
-      "  --trace PATH       write a Chrome trace of the run (PS only)\n"
+      "  --trace PATH       write a Chrome trace of the run (PS, one job)\n"
       "\nnetwork & topology:\n"
       "  --gbps X           worker/host NIC rate in Gbit/s (default 3)\n"
       "  --ps-gbps X        PS NIC rate (default 10; star topology only)\n"
@@ -63,8 +63,9 @@ void usage() {
       "\nmulti-job cluster scheduling (PS only):\n"
       "  --jobs N           run N copies of the configured job through one\n"
       "                     event loop on the shared fabric (default 1)\n"
-      "  --placement NAME   fifo-stripe|network-aware (default network-aware)\n"
-      "  --interleave NAME  none|cassini (default cassini)\n"
+      "  --placement NAME   fifo-stripe|network-aware (default network-aware;\n"
+      "                     --jobs > 1 only)\n"
+      "  --interleave NAME  none|cassini (default cassini; --jobs > 1 only)\n"
       "\nnetwork dynamics & fault injection (PS only):\n"
       "  --dynamics SPEC    none | fluctuate:AMP[:PERIOD_S] | step:T_S:FACTOR[:WORKER]\n"
       "                     | trace:PATH  — scripted/random bandwidth timeline\n"
@@ -212,7 +213,20 @@ int main(int argc, char** argv) {
   cfg.retry_budget =
       static_cast<std::size_t>(flags->get("retry-budget", std::int64_t{16}));
 
+  // Each flag below is read on one path only; naming it on another would
+  // silently do nothing.
   const std::string arch = flags->get("arch", std::string{"ps"});
+  const auto jobs = static_cast<std::size_t>(flags->get("jobs", std::int64_t{1}));
+  if (flags->has("trace") && (arch != "ps" || jobs > 1)) {
+    std::fprintf(stderr, "--trace needs --arch ps and --jobs 1\n");
+    return 1;
+  }
+  for (const char* multi_job : {"placement", "interleave"}) {
+    if (flags->has(multi_job) && jobs <= 1) {
+      std::fprintf(stderr, "--%s needs --jobs > 1\n", multi_job);
+      return 1;
+    }
+  }
   std::printf("%s | %s | %zu workers | %s | batch %d | %zu iterations",
               arch.c_str(), cfg.model.name().c_str(), cfg.num_workers,
               format_bandwidth(host_bandwidth).c_str(), cfg.batch,
@@ -222,7 +236,6 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
-  const auto jobs = static_cast<std::size_t>(flags->get("jobs", std::int64_t{1}));
   if (arch == "allreduce") {
     if (jobs > 1) {
       std::fprintf(stderr, "--jobs > 1 needs --arch ps (the ring runs one job)\n");

@@ -223,6 +223,10 @@ FlowId FlowNetwork::start_flow(NodeId src, NodeId dst, Bytes size,
     slot = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
     slot_epoch_.push_back(0);
+    // The lane serves every later tenant of this slot, so it names the
+    // flow by the slot's generation when it fires.
+    slots_.back().completion = sim_.lane_create(
+        [this, slot] { complete_flow(make_id(slots_[slot].generation, slot)); });
   }
   FlowSlot& s = slots_[slot];
   s.occupied = true;
@@ -235,7 +239,6 @@ FlowId FlowNetwork::start_flow(NodeId src, NodeId dst, Bytes size,
   s.flow.admission = next_admission_++;
   s.flow.last_settled = sim_.now();
   s.flow.on_complete = std::move(on_complete);
-  s.flow.completion = sim::EventHandle{};
   s.active_pos = static_cast<std::uint32_t>(active_.size());
   active_.push_back(slot);
   const FlowId id = make_id(s.generation, slot);
@@ -447,18 +450,18 @@ void FlowNetwork::progressive_fill(const std::vector<std::uint32_t>& flow_slots,
 }
 
 void FlowNetwork::reschedule_completion(std::uint32_t slot) {
-  Flow& flow = slots_[slot].flow;
-  flow.completion.cancel();
-  const FlowId fid = make_id(slots_[slot].generation, slot);
-  if (flow.remaining <= kDrainEpsilon) {
-    flow.completion =
-        sim_.schedule_after(Duration::zero(), [this, fid] { complete_flow(fid); });
-  } else if (flow.rate > 0.0) {
-    const Duration eta = Duration::from_seconds(flow.remaining / flow.rate);
-    flow.completion = sim_.schedule_after(eta, [this, fid] { complete_flow(fid); });
+  const FlowSlot& s = slots_[slot];
+  const TimePoint now = sim_.now();
+  if (s.flow.remaining <= kDrainEpsilon) {
+    sim_.lane_aim(s.completion, now);
+  } else if (s.flow.rate > 0.0) {
+    sim_.lane_aim(s.completion,
+                  now + Duration::from_seconds(s.flow.remaining / s.flow.rate));
+  } else {
+    // rate == 0 (fully starved link) parks the flow until the next
+    // rebalance; set_capacity / flow departures will wake it.
+    sim_.lane_disarm(s.completion);
   }
-  // rate == 0 (fully starved link) leaves the flow parked until the next
-  // rebalance; set_capacity / flow departures will wake it.
 }
 
 void FlowNetwork::refill_component() {
@@ -747,9 +750,8 @@ void FlowNetwork::maybe_form_group() {
     Flow& f = slots_[slot].flow;
     f.group = gid;
     f.group_hist = 0;
-    // The lane supersedes per-flow completion events from here on.
-    f.completion.cancel();
-    f.completion = sim::EventHandle{};
+    // The group's lane supersedes the member's own from here on.
+    sim_.lane_disarm(slots_[slot].completion);
     g.heap.push_back(GroupEntry{f.remaining, f.admission, slot});
   }
   std::make_heap(g.heap.begin(), g.heap.end(), kGroupEntryLater);
@@ -928,7 +930,7 @@ void FlowNetwork::dissolve_group(std::uint32_t gid) {
   const TimePoint now = sim_.now();
   // Settle every member exactly (they all sit on the anchor), hand its rate
   // back to the per-flow field, and let the caller's slow-path rebalance
-  // re-rate them and schedule fresh completion events.
+  // re-rate them and re-aim their completion lanes.
   for (const std::uint32_t slot : link_flows_[g.anchor]) {
     settle_flow(slot, now);
     Flow& f = slots_[slot].flow;
@@ -975,8 +977,8 @@ void FlowNetwork::remove_active(std::uint32_t slot) {
 
 void FlowNetwork::release_slot(std::uint32_t slot) {
   FlowSlot& s = slots_[slot];
+  sim_.lane_disarm(s.completion);
   s.flow.on_complete = nullptr;
-  s.flow.completion = sim::EventHandle{};
   s.flow.draining = false;
   s.occupied = false;
   ++s.generation;
@@ -1073,7 +1075,6 @@ Bytes FlowNetwork::cancel_flow(FlowId id) {
     FlowSlot& s = slots_[slot];
     const auto remaining =
         static_cast<std::int64_t>(std::ceil(s.flow.remaining - kDrainEpsilon));
-    s.flow.completion.cancel();
     if (s.flow.draining) graph_remove(slot);
     release_slot(slot);
     reassign_rates();
@@ -1098,7 +1099,6 @@ Bytes FlowNetwork::cancel_flow(FlowId id) {
     settle_component(now);
     const auto remaining =
         static_cast<std::int64_t>(std::ceil(s.flow.remaining - kDrainEpsilon));
-    s.flow.completion.cancel();
     graph_remove(slot);
     release_slot(slot);
     refill_component();
@@ -1107,7 +1107,6 @@ Bytes FlowNetwork::cancel_flow(FlowId id) {
   // Still in setup: the flow held no capacity, so no rates change.
   const auto remaining =
       static_cast<std::int64_t>(std::ceil(s.flow.remaining - kDrainEpsilon));
-  s.flow.completion.cancel();
   release_slot(slot);
   return Bytes::of(std::max<std::int64_t>(remaining, 0));
 }
@@ -1125,7 +1124,8 @@ double FlowNetwork::flow_remaining_bytes(FlowId id) {
 
 void FlowNetwork::complete_flow(FlowId id) {
   const std::ptrdiff_t found = find_slot(id);
-  if (found < 0) return;
+  // release_slot disarms the lane, so only a live flow's lane can fire.
+  PROPHET_CHECK_MSG(found >= 0, "completion lane fired for a free flow slot");
   const auto slot = static_cast<std::uint32_t>(found);
   if (mode_ == RebalanceMode::kFull) {
     advance_to_now();

@@ -39,8 +39,8 @@
 // arrival/departure or a link capacity/state change rebalances only the
 // connected component of that graph reachable from the dirty links. Flows in
 // other components keep their rates, their byte accounting (settled lazily,
-// per flow, against piecewise-constant rates) and their already-scheduled
-// completion events. Max-min allocations are component-local, so the rates
+// per flow, against piecewise-constant rates) and their already-aimed
+// completion lanes. Max-min allocations are component-local, so the rates
 // are the ones a full recompute would produce — a property the differential
 // verification mode (`set_verify_rates`) checks bit-for-bit against the
 // retained full algorithm after every rebalance. `RebalanceMode::kFull`
@@ -248,15 +248,19 @@ class FlowNetwork {
     std::uint32_t group = kNoGroup;
     std::uint32_t group_hist = 0;
     std::function<void(FlowId)> on_complete;
-    sim::EventHandle completion;
   };
   // One slab entry; `generation` advances when the slot is recycled so stale
   // FlowIds stop resolving. `active_pos` is the slot's index in active_
-  // (swap-and-pop slot->index map).
+  // (swap-and-pop slot->index map). `completion` is the slot's simulator
+  // lane, created when the slab grows and kept across tenants: it is aimed
+  // at an ungrouped draining flow's ETA and disarmed whenever the slot's
+  // flow has no completion of its own to fire (setup, parked at rate zero,
+  // grouped, or gone), so a recycled slot never fires its last tenant's aim.
   struct FlowSlot {
     Flow flow;
     std::uint32_t generation = 1;
     std::uint32_t active_pos = 0;
+    sim::LaneId completion = sim::kNoLane;
     bool occupied = false;
   };
   // Per-link scratch for progressive filling (persistent across calls).
@@ -268,8 +272,8 @@ class FlowNetwork {
   // --- rate groups (kIncremental fast path) --------------------------------
   // When one link is the common bottleneck of an entire component — the PS
   // incast shape — progressive filling gives every flow the identical share
-  // cap/n. Such a component is promoted to a *rate group*: members stop
-  // carrying individual completion events and per-event settlement; instead
+  // cap/n. Such a component is promoted to a *rate group*: members' own
+  // completion lanes are disarmed and they stop per-event settlement; instead
   // the group keeps (a) a next-finisher heap ordered by virtual finish work
   // (drained work at join + remaining bytes at join), (b) a piecewise-
   // constant rate history so a member settles lazily by replaying exactly
@@ -350,7 +354,7 @@ class FlowNetwork {
                         SetRate&& set_rate);
   // Filling + busy-flag refresh + completion rescheduling for comp_flows_.
   void refill_component();
-  // Cancels + reschedules the completion event of one draining flow.
+  // Re-aims (or, at rate zero, disarms) one draining flow's completion lane.
   void reschedule_completion(std::uint32_t slot);
   // Asserts every draining flow's rate matches a full recompute bit-for-bit.
   void verify_against_full();
@@ -382,9 +386,10 @@ class FlowNetwork {
   void group_remove_member(std::uint32_t gid, std::uint32_t slot, TimePoint now);
   // Fast-path capacity change on a group link; false -> caller rebalances.
   bool group_capacity_change(std::uint32_t gid, LinkId id);
-  // Settles every member to now, restores per-flow rates/completions being
-  // managed eagerly again, and frees the group (members keep draining; the
-  // caller must follow with a slow-path rebalance covering them).
+  // Settles every member to now, hands per-flow rates back to the eager
+  // engine, and frees the group (members keep draining; the caller must
+  // follow with a slow-path rebalance covering them, which re-aims their
+  // completion lanes).
   void dissolve_group(std::uint32_t gid);
   void group_destroy(std::uint32_t gid);
   // Verify mode: refresh member rates, then run the full differential check.
@@ -399,11 +404,12 @@ class FlowNetwork {
   // Credits drained bytes / busy time for [last_update_, now] at current
   // rates for every flow, then sets last_update_ = now.
   void advance_to_now();
-  // Recomputes max-min fair rates and reschedules completion events for the
+  // Recomputes max-min fair rates and re-aims completion lanes for the
   // whole network.
   void reassign_rates();
 
   void enter_drain(FlowId id);
+  // Completion-lane callback of the flow holding `id`.
   void complete_flow(FlowId id);
   void release_slot(std::uint32_t slot);
 

@@ -80,19 +80,14 @@ LaneId Simulator::lane_create(Callback cb) {
   }
   Lane& ln = lanes_[id];
   ln.cb = std::move(cb);
-  ln.armed = false;
   ln.alive = true;
   ++lanes_live_;
   return id;
 }
 
 void Simulator::lane_destroy(LaneId id) {
-  PROPHET_CHECK(id < lanes_.size() && lanes_[id].alive);
+  lane_disarm(id);
   Lane& ln = lanes_[id];
-  if (ln.armed) {
-    ln.armed = false;
-    --lanes_armed_;
-  }
   ln.alive = false;
   ln.cb = nullptr;  // no-op if destroyed mid-fire: dispatch() holds the cb
   --lanes_live_;
@@ -104,66 +99,93 @@ void Simulator::lane_aim(LaneId id, TimePoint at) {
   PROPHET_CHECK_MSG(at >= now_, "aiming a lane into the past");
   PROPHET_CHECK_MSG(next_seq_ != std::numeric_limits<std::uint32_t>::max(),
                     "event sequence counter exhausted");
-  Lane& ln = lanes_[id];
-  const std::uint32_t seq = next_seq_++;
-  ln.aim_seq = seq;  // supersedes any queued record for this lane
-  if (!ln.armed) {
-    ln.armed = true;
+  const Record rec{at, next_seq_++, id | kLaneTag};
+  const std::uint32_t pos = lanes_[id].heap_pos;
+  if (pos == kNotQueued) {
     ++lanes_armed_;
+    heap_push(rec);
+  } else if (earlier(rec, heap_[pos])) {
+    sift_up(pos, rec);
+  } else {
+    sift_down(pos, rec);
   }
-  heap_push(Record{at, seq, id | kLaneTag});
 }
 
 void Simulator::lane_disarm(LaneId id) {
   PROPHET_CHECK(id < lanes_.size() && lanes_[id].alive);
-  Lane& ln = lanes_[id];
-  if (ln.armed) {
-    ln.armed = false;
-    --lanes_armed_;
-  }
+  const std::uint32_t pos = lanes_[id].heap_pos;
+  if (pos == kNotQueued) return;
+  remove_at(pos);
+  --lanes_armed_;
 }
 
 bool Simulator::lane_armed(LaneId id) const {
   PROPHET_CHECK(id < lanes_.size() && lanes_[id].alive);
-  return lanes_[id].armed;
+  return lanes_[id].heap_pos != kNotQueued;
+}
+
+void Simulator::place(std::size_t i, const Record& rec) {
+  heap_[i] = rec;
+  if ((rec.slot & kLaneTag) != 0) {
+    lanes_[rec.slot & ~kLaneTag].heap_pos = static_cast<std::uint32_t>(i);
+  }
+}
+
+void Simulator::sift_up(std::size_t i, const Record& rec) {
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 4;
+    if (!earlier(rec, heap_[parent])) break;
+    place(i, heap_[parent]);
+    i = parent;
+  }
+  place(i, rec);
+}
+
+void Simulator::sift_down(std::size_t i, const Record& rec) {
+  const std::size_t n = heap_.size();
+  for (;;) {
+    const std::size_t first = 4 * i + 1;
+    if (first >= n) break;
+    std::size_t best = first;
+    const std::size_t end = std::min(first + 4, n);
+    for (std::size_t c = first + 1; c < end; ++c) {
+      if (earlier(heap_[c], heap_[best])) best = c;
+    }
+    if (!earlier(heap_[best], rec)) break;
+    place(i, heap_[best]);
+    i = best;
+  }
+  place(i, rec);
 }
 
 void Simulator::heap_push(const Record& rec) {
   heap_.push_back(rec);
-  std::size_t i = heap_.size() - 1;
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 4;
-    if (!earlier(heap_[i], heap_[parent])) break;
-    std::swap(heap_[i], heap_[parent]);
-    i = parent;
+  sift_up(heap_.size() - 1, rec);
+}
+
+void Simulator::remove_at(std::size_t i) {
+  const Record gone = heap_[i];
+  if ((gone.slot & kLaneTag) != 0) lanes_[gone.slot & ~kLaneTag].heap_pos = kNotQueued;
+  const Record last = heap_.back();
+  heap_.pop_back();
+  if (i == heap_.size()) return;
+  // Every ancestor of `i` ranks before `gone`, and every descendant after
+  // it, so `last` only has to move one way.
+  if (earlier(last, gone)) {
+    sift_up(i, last);
+  } else {
+    sift_down(i, last);
   }
 }
 
 Simulator::Record Simulator::pop_front() {
   const Record top = heap_.front();
-  const Record last = heap_.back();
-  heap_.pop_back();
-  const std::size_t n = heap_.size();
-  if (n > 0) {
-    // Sift the hole down, then drop `last` into it.
-    std::size_t i = 0;
-    for (;;) {
-      const std::size_t first = 4 * i + 1;
-      if (first >= n) break;
-      std::size_t best = first;
-      const std::size_t end = std::min(first + 4, n);
-      for (std::size_t c = first + 1; c < end; ++c) {
-        if (earlier(heap_[c], heap_[best])) best = c;
-      }
-      if (!earlier(heap_[best], last)) break;
-      heap_[i] = heap_[best];
-      i = best;
-    }
-    heap_[i] = last;
-    // Warm the next event's pool slot while the popped event's callback
-    // runs — the slot access pattern is random, and this hides most of the
-    // resulting cache miss. (Lane records live in lanes_, not the pool.)
-    if ((heap_[0].slot & kLaneTag) == 0) __builtin_prefetch(&pool_->slots[heap_[0].slot]);
+  remove_at(0);
+  // Warm the next event's pool slot while the popped event's callback
+  // runs — the slot access pattern is random, and this hides most of the
+  // resulting cache miss. (Lane records live in lanes_, not the pool.)
+  if (!heap_.empty() && (heap_[0].slot & kLaneTag) == 0) {
+    __builtin_prefetch(&pool_->slots[heap_[0].slot]);
   }
   return top;
 }
@@ -182,18 +204,16 @@ void Simulator::fire(Record rec) {
 
 bool Simulator::dispatch(const Record& rec) {
   if ((rec.slot & kLaneTag) != 0) {
+    // pop_front() cleared the lane's heap_pos: it runs disarmed.
     const LaneId id = rec.slot & ~kLaneTag;
-    Lane& ln = lanes_[id];
-    if (!ln.alive || !ln.armed || ln.aim_seq != rec.seq) return false;  // superseded
     PROPHET_CHECK(rec.at >= now_);
     now_ = rec.at;
-    ln.armed = false;
     --lanes_armed_;
     ++fired_;
     // Run the callback from a local: it may re-aim this lane, destroy it, or
     // even recycle the id for a fresh lane — destroying the std::function we
     // are executing would be UB. Restore it only if the slot still wants it.
-    Callback cb = std::move(ln.cb);
+    Callback cb = std::move(lanes_[id].cb);
     cb();
     Lane& after = lanes_[id];
     if (after.alive && !after.cb) after.cb = std::move(cb);

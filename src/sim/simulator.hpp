@@ -36,8 +36,9 @@ class Simulator;
 // Where a plain scheduled event is one-shot (slot acquired, fired, released),
 // a lane keeps its callback and identity across arbitrarily many re-aims, so
 // a subsystem that repeatedly reschedules "the next interesting instant" for
-// some aggregate (e.g. a FlowNetwork rate group's next finisher) pays one
-// heap push per re-aim and nothing else — no slot churn, no callback moves.
+// one thing (a FlowNetwork flow's completion, a rate group's next finisher)
+// moves the lane's single heap record in place — no slot churn, no callback
+// moves, and no stale record left behind for the loop to pop.
 using LaneId = std::uint32_t;
 inline constexpr LaneId kNoLane = 0xffffffffu;
 
@@ -160,13 +161,17 @@ class Simulator {
   // Creates a lane owning `cb`. The lane starts disarmed; `lane_aim` arms it
   // (or moves an armed lane's target). When the lane's target instant is
   // reached it disarms itself and runs `cb` — the callback may re-aim the
-  // lane, schedule events, or destroy the lane. Superseded aims are skipped
-  // without firing (lazy deletion in the heap, like cancelled events).
+  // lane, schedule events, or destroy the lane. An armed lane owns exactly
+  // one heap record, which it tracks by index: re-aiming rewrites that
+  // record and sifts it in place, and disarming or destroying removes it.
   LaneId lane_create(Callback cb);
-  // Destroys the lane: pending aims become inert and the id may be recycled.
+  // Destroys the lane, removing its aim if armed; the id may be recycled.
   // Safe to call from inside the lane's own callback.
   void lane_destroy(LaneId id);
   // Arms the lane to fire at `at` (>= now), superseding any previous aim.
+  // Every aim takes a fresh sequence number, exactly as cancelling and
+  // rescheduling a plain event would, so a re-aimed lane ranks after every
+  // event already scheduled for the same instant.
   void lane_aim(LaneId id, TimePoint at);
   // Un-arms the lane without destroying it; a later lane_aim re-arms.
   void lane_disarm(LaneId id);
@@ -181,6 +186,10 @@ class Simulator {
   // Pool capacity (high-water mark of concurrently tracked events); exposed
   // for the slab-reuse tests.
   [[nodiscard]] std::size_t event_slot_count() const { return pool_->slots.size(); }
+  // Records in the event heap: pending events plus cancelled plain events
+  // not yet popped (lanes never leave one behind); exposed for the heap
+  // tests.
+  [[nodiscard]] std::size_t queued_records() const { return heap_.size(); }
 
  private:
   // Trivially copyable, 16 bytes — the callback lives in the pool slot, so
@@ -196,9 +205,11 @@ class Simulator {
   };
   // Heap records for lanes reuse the Record layout with the top bit of `slot`
   // set (the pool would need 2^31 concurrent events to collide, checked at
-  // acquire). A lane record is live iff the lane is still armed with exactly
-  // this seq — seqs are unique, so a superseded aim can never false-match.
+  // acquire). A lane's record is always live: it is rewritten in place on a
+  // re-aim and removed on disarm or destroy.
   static constexpr std::uint32_t kLaneTag = 0x80000000u;
+  // Lane::heap_pos of a disarmed lane.
+  static constexpr std::uint32_t kNotQueued = 0xffffffffu;
   static bool earlier(const Record& a, const Record& b) {
     if (a.at != b.at) return a.at < b.at;
     return a.seq < b.seq;
@@ -209,18 +220,26 @@ class Simulator {
   };
   struct Lane {
     Callback cb;
-    std::uint32_t aim_seq = 0;
-    bool armed = false;
+    // Index of the lane's record in heap_ while armed, else kNotQueued.
+    std::uint32_t heap_pos = kNotQueued;
     bool alive = false;
   };
 
-  // Inserts into / pops the earliest record off heap_.
+  // Heap maintenance. Every record move goes through place(), which keeps
+  // a lane's heap_pos current; sift_up/sift_down drop `rec` into the hole
+  // at `i` and move it toward the root or the leaves.
+  void place(std::size_t i, const Record& rec);
+  void sift_up(std::size_t i, const Record& rec);
+  void sift_down(std::size_t i, const Record& rec);
+  // Inserts into / pops the earliest record off / removes record `i` from
+  // heap_.
   void heap_push(const Record& rec);
   Record pop_front();
+  void remove_at(std::size_t i);
   // Fires `rec`; assumes it is live.
   void fire(Record rec);
   // Routes a popped record (event or lane) to its callback; returns whether
-  // anything fired (false for cancelled events and superseded lane aims).
+  // anything fired (false for cancelled events).
   bool dispatch(const Record& rec);
   void periodic_tick(std::uint32_t slot, std::uint32_t generation);
 
@@ -231,8 +250,8 @@ class Simulator {
   std::vector<Record> heap_;
   // Periodic-chain state, keyed by the chain's pool slot.
   std::unordered_map<std::uint32_t, PeriodicChain> chains_;
-  // Lane slab (ids recycled through the free list; staleness is resolved by
-  // aim seq, so no generation counter is needed).
+  // Lane slab (ids recycled through the free list; a lane's record leaves
+  // the heap before its id is freed, so no generation counter is needed).
   std::vector<Lane> lanes_;
   std::vector<std::uint32_t> lane_free_;
   std::size_t lanes_live_ = 0;

@@ -249,6 +249,122 @@ TEST(FlowNetwork, ManyConcurrentFlowsConserveBytes) {
   EXPECT_EQ(f.net.link_total_bytes(ps_tx), Bytes::mib(15).count());
 }
 
+// --- completion lanes ---------------------------------------------------------
+
+// A flow slot keeps its completion lane across tenants, so a recycled slot
+// must never fire its previous tenant's aim. In each case the old flow
+// leaves the slot at `leave_at` and a new 12.5 MB flow takes it at once; the
+// new flow is still in its 10 ms setup when a draining old tenant would have
+// finished, so a leftover aim would fire into it. Only the new flow's
+// callback may fire, at its own ETA.
+enum class Departure { kDraining, kGrouped, kInSetup };
+
+void expect_reused_slot_fires_only_new_tenant(Departure how) {
+  TcpCostParams params;
+  params.per_task_overhead = 10_ms;
+  params.slow_start = false;
+  Fixture f{TcpCostModel{params}};
+  const NodeId c = f.net.add_node("c", Bandwidth::gbps(1), Bandwidth::gbps(1));
+  const NodeId d = f.net.add_node("d", Bandwidth::gbps(1), Bandwidth::gbps(1));
+  int old_fires = 0;
+  FlowId old_id = 0;
+  Duration leave_at;
+  if (how == Departure::kGrouped) {
+    // Ten pushes into one 1 Gbps port: a single-bottleneck incast, which
+    // forms a rate group. Push 0 is the old tenant.
+    const NodeId ps = f.net.add_node("ps", Bandwidth::gbps(1), Bandwidth::gbps(1));
+    for (int i = 0; i < 10; ++i) {
+      const NodeId w =
+          f.net.add_node("w" + std::to_string(i), Bandwidth::gbps(1), Bandwidth::gbps(1));
+      const FlowId id = f.net.start_flow(w, ps, Bytes::of(125'000'000), [&, i](FlowId) {
+        if (i == 0) ++old_fires;
+      });
+      if (i == 0) old_id = id;
+    }
+    leave_at = 1_s;
+  } else {
+    old_id = f.net.start_flow(c, d, Bytes::of(125'000'000), [&](FlowId) { ++old_fires; });
+    // Draining from 10 ms at 125 MB/s, it would finish at 1.010 s.
+    leave_at = how == Departure::kDraining ? 1005_ms : 5_ms;
+  }
+  FlowId new_id = 0;
+  std::vector<double> new_fires_s;
+  f.sim.schedule_at(TimePoint::origin() + leave_at, [&] {
+    EXPECT_EQ(f.net.rate_group_count(), how == Departure::kGrouped ? 1u : 0u);
+    if (how == Departure::kInSetup) {
+      EXPECT_TRUE(f.net.flow_rate(old_id).is_zero());
+    } else {
+      EXPECT_FALSE(f.net.flow_rate(old_id).is_zero());
+    }
+    f.net.cancel_flow(old_id);
+    new_id = f.net.start_flow(c, d, Bytes::of(12'500'000), [&](FlowId id) {
+      EXPECT_EQ(id, new_id);
+      new_fires_s.push_back(f.sim.now().to_seconds());
+    });
+  });
+  f.sim.run();
+  EXPECT_EQ(old_fires, 0);
+  // Same slot (the free list is LIFO), new generation.
+  EXPECT_EQ(new_id & 0xffffffffu, old_id & 0xffffffffu);
+  EXPECT_NE(new_id, old_id);
+  ASSERT_EQ(new_fires_s.size(), 1u);
+  // 10 ms setup, then 12.5 MB at 125 MB/s.
+  EXPECT_NEAR(new_fires_s[0], leave_at.to_seconds() + 0.010 + 0.100, 1e-6);
+}
+
+TEST(FlowNetworkLanes, ReusedSlotAfterCancellingDrainingFlow) {
+  expect_reused_slot_fires_only_new_tenant(Departure::kDraining);
+}
+
+TEST(FlowNetworkLanes, ReusedSlotAfterCancellingGroupedMember) {
+  expect_reused_slot_fires_only_new_tenant(Departure::kGrouped);
+}
+
+TEST(FlowNetworkLanes, ReusedSlotAfterCancellingFlowInSetup) {
+  expect_reused_slot_fires_only_new_tenant(Departure::kInSetup);
+}
+
+// Every slow-path rebalance re-aims each component flow's completion lane in
+// place, so a storm of capacity changes over one ungrouped component leaves
+// the event heap holding only live records.
+TEST(FlowNetworkLanes, RebalanceStormLeavesOnlyLiveRecords) {
+  Fixture f;
+  f.net.set_verify_rates(true);
+  const NodeId sink = f.net.add_node("sink", Bandwidth::gbps(10), Bandwidth::gbps(10));
+  const LinkId sink_rx = f.net.node_link(sink, Direction::kRx);
+  constexpr int kFlows = 24;
+  constexpr int kChanges = 1'000;
+  int done = 0;
+  for (int i = 0; i < kFlows; ++i) {
+    // Half the senders are capped by their own 100 Mbps NIC and half share
+    // what is left of the sink's port: two bottlenecks, so no rate group.
+    const Bandwidth nic = i % 2 == 0 ? Bandwidth::mbps(100) : Bandwidth::gbps(10);
+    const NodeId src = f.net.add_node("s" + std::to_string(i), nic, nic);
+    f.net.start_flow(src, sink, Bytes::of(50'000'000), [&](FlowId) { ++done; });
+  }
+  for (int k = 1; k <= kChanges; ++k) {
+    f.sim.schedule_at(TimePoint::origin() + Duration::micros(100 * k), [&, k] {
+      f.net.set_link_capacity(sink_rx,
+                              k % 2 == 0 ? Bandwidth::gbps(10) : Bandwidth::gbps(8));
+      EXPECT_EQ(f.net.rate_group_count(), 0u);
+      EXPECT_EQ(f.net.active_flow_count(), static_cast<std::size_t>(kFlows));
+    });
+  }
+  std::size_t steps = 0;
+  while (f.sim.step()) {
+    ++steps;
+    ASSERT_EQ(f.sim.queued_records(), f.sim.pending_events()) << "after step " << steps;
+  }
+  EXPECT_EQ(done, kFlows);
+  // Each flow completes within a byte of empty.
+  EXPECT_NEAR(static_cast<double>(f.net.link_total_bytes(sink_rx)), kFlows * 50e6,
+              kFlows);
+  // Each change re-rated the whole component on the slow path.
+  const RebalanceStats& stats = f.net.rebalance_stats();
+  EXPECT_GE(stats.rebalances, static_cast<std::uint64_t>(kChanges));
+  EXPECT_GE(stats.component_flows, static_cast<std::uint64_t>(kChanges) * kFlows);
+  EXPECT_EQ(stats.group_forms, 0u);
+}
 
 // A tracked incast run end to end: what the eager kFull engine and the
 // rate-group replay must agree on.

@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <optional>
+#include <set>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "sim/simulator.hpp"
 
 namespace prophet::sim {
@@ -161,9 +168,9 @@ TEST(SimulatorLanes, FiresAtAimedTime) {
 }
 
 TEST(SimulatorLanes, ReaimSupersedesEarlierAim) {
-  // A lane holds ONE live aim: re-aiming abandons the stale heap record
-  // (lazy deletion by sequence number), so the callback runs exactly once,
-  // at the latest target — even when the new aim is earlier than the old.
+  // A lane holds ONE live aim: re-aiming moves the lane's single heap record
+  // to the new target, so the callback runs exactly once, at the latest
+  // target — even when the new aim is earlier than the old.
   Simulator sim;
   int fires = 0;
   const LaneId lane = sim.lane_create([&] {
@@ -228,10 +235,10 @@ TEST(SimulatorLanes, DestroyedArmedLaneNeverFires) {
   const LaneId lane = sim.lane_create([&] { fired = true; });
   sim.lane_aim(lane, TimePoint::origin() + 4_ms);
   sim.lane_destroy(lane);
-  sim.schedule_after(10_ms, [] {});  // keep the loop busy past the stale aim
+  sim.schedule_after(10_ms, [] {});  // keep the loop busy past the destroyed aim
   sim.run();
   EXPECT_FALSE(fired);
-  // A fresh lane reusing the freed id must not inherit the stale record.
+  // A fresh lane reusing the freed id must not inherit the old aim.
   bool reused_fired = false;
   const LaneId again = sim.lane_create([&] { reused_fired = true; });
   EXPECT_EQ(again, lane);
@@ -252,6 +259,184 @@ TEST(SimulatorLanes, InterleavesWithPoolEventsInTimeOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(sim.events_fired(), 3u);  // lane fires count like pool events
   sim.lane_destroy(lane);
+}
+
+TEST(SimulatorLanes, ReaimLeavesOneQueuedRecord) {
+  // Re-aiming rewrites the lane's record in place, whichever way it moves,
+  // so the heap holds the background events plus exactly one lane record.
+  Simulator sim;
+  std::vector<int> order;
+  for (int i = 0; i < 64; ++i) {
+    sim.schedule_after(Duration::micros(100 * i), [&order, i] { order.push_back(i); });
+  }
+  const LaneId lane = sim.lane_create([&] { order.push_back(-1); });
+  for (int i = 0; i < 10'000; ++i) {
+    // Alternate between the front and the back of the background events.
+    const Duration at = i % 2 == 0 ? Duration::micros(50 + i / 2)
+                                   : Duration::micros(10'000 - i / 2);
+    sim.lane_aim(lane, TimePoint::origin() + at);
+    ASSERT_EQ(sim.queued_records(), 65u) << "after re-aim " << i;
+  }
+  EXPECT_EQ(sim.pending_events(), 65u);
+  sim.run();
+  // The last aim (odd i = 9999) targets 10'000 - 4'999 us = 5'001 us: after
+  // background event 50 (5'000 us), before 51.
+  ASSERT_EQ(order.size(), 65u);
+  EXPECT_EQ(order[51], -1);
+  EXPECT_EQ(sim.events_fired(), 65u);
+  EXPECT_EQ(sim.queued_records(), 0u);
+  sim.lane_destroy(lane);
+}
+
+// Reference model for RandomOpsFireInTimeSeqOrder: a pending event or armed
+// lane is one entry keyed by (time ns, seq), with seqs handed out in call
+// order as the simulator does.
+using ModelKey = std::pair<std::int64_t, std::uint64_t>;
+struct ModelEntry {
+  bool lane;
+  std::size_t index;  // into the test's lane or event table
+  friend bool operator==(const ModelEntry&, const ModelEntry&) = default;
+};
+
+void run_random_ops(std::uint64_t seed, int ops) {
+  struct LaneState {
+    LaneId id;
+    bool self_destroy = false;
+    std::optional<ModelKey> key;  // set while armed
+  };
+  struct EventState {
+    EventHandle handle;
+    std::optional<ModelKey> key;  // set while pending
+  };
+  Simulator sim;
+  Rng rng{seed};
+  std::map<ModelKey, ModelEntry> live;
+  // Cancelled plain events whose records the heap still holds.
+  std::set<ModelKey> cancelled;
+  std::uint64_t next_seq = 0;
+  std::vector<LaneState> lanes;
+  std::vector<std::size_t> alive;  // indices into lanes
+  std::vector<EventState> events;
+  std::vector<ModelEntry> fired;
+
+  const auto at_ns = [](std::int64_t ns) {
+    return TimePoint::origin() + Duration::nanos(ns);
+  };
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  const auto forget_lane = [&](std::size_t li) {
+    alive.erase(std::find(alive.begin(), alive.end(), li));
+  };
+  const auto step = [&] {
+    const std::size_t before = fired.size();
+    const bool any = sim.step();
+    if (live.empty()) {
+      ASSERT_FALSE(any);
+      cancelled.clear();
+      return;
+    }
+    ASSERT_TRUE(any);
+    ASSERT_EQ(fired.size(), before + 1);
+    const auto head = live.begin();
+    ASSERT_EQ(sim.now().count_nanos(), head->first.first);
+    ASSERT_EQ(fired.back(), head->second) << "fired out of (time, seq) order";
+    cancelled.erase(cancelled.begin(), cancelled.lower_bound(head->first));
+    if (head->second.lane) {
+      LaneState& ln = lanes[head->second.index];
+      ln.key.reset();
+      if (ln.self_destroy) forget_lane(head->second.index);
+    } else {
+      events[head->second.index].key.reset();
+    }
+    live.erase(head);
+  };
+
+  for (int op = 0; op < ops; ++op) {
+    const std::int64_t now = sim.now().count_nanos();
+    const std::int64_t choice = rng.uniform_int(0, 17);
+    if (choice == 0 && alive.size() < 32) {
+      const std::size_t li = lanes.size();
+      lanes.push_back(LaneState{});
+      lanes[li].id = sim.lane_create([&, li] {
+        fired.push_back(ModelEntry{true, li});
+        if (lanes[li].self_destroy) sim.lane_destroy(lanes[li].id);
+      });
+      alive.push_back(li);
+    } else if (choice <= 6 && !alive.empty()) {
+      // Aim earlier, later, or at the same instant as the current aim.
+      const std::size_t li = alive[pick(alive.size())];
+      LaneState& ln = lanes[li];
+      std::int64_t at = now + rng.uniform_int(0, 20);
+      if (ln.key) {
+        const std::int64_t cur = ln.key->first;
+        const std::int64_t how = rng.uniform_int(0, 2);
+        if (how == 0) at = rng.uniform_int(now, std::max(now, cur - 1));
+        if (how == 1) at = cur + rng.uniform_int(1, 20);
+        if (how == 2) at = cur;
+        live.erase(*ln.key);
+      }
+      sim.lane_aim(ln.id, at_ns(at));
+      ln.key = ModelKey{at, next_seq++};
+      live.emplace(*ln.key, ModelEntry{true, li});
+    } else if (choice == 7 && !alive.empty()) {
+      LaneState& ln = lanes[alive[pick(alive.size())]];
+      sim.lane_disarm(ln.id);
+      if (ln.key) live.erase(*ln.key);
+      ln.key.reset();
+    } else if (choice == 8 && !alive.empty()) {
+      const std::size_t li = alive[pick(alive.size())];
+      sim.lane_destroy(lanes[li].id);
+      if (lanes[li].key) live.erase(*lanes[li].key);
+      lanes[li].key.reset();
+      forget_lane(li);
+    } else if (choice == 9 && !alive.empty()) {
+      // The lane destroys itself from its own callback when it next fires.
+      lanes[alive[pick(alive.size())]].self_destroy = true;
+    } else if (choice <= 12) {
+      const std::size_t ei = events.size();
+      const std::int64_t at = now + rng.uniform_int(0, 20);
+      events.push_back(EventState{});
+      events[ei].handle =
+          sim.schedule_at(at_ns(at), [&, ei] { fired.push_back(ModelEntry{false, ei}); });
+      events[ei].key = ModelKey{at, next_seq++};
+      live.emplace(*events[ei].key, ModelEntry{false, ei});
+    } else if (choice == 13 && !events.empty()) {
+      // Cancelling a fired or cancelled event is a no-op.
+      EventState& ev = events[pick(events.size())];
+      ev.handle.cancel();
+      if (ev.key) {
+        live.erase(*ev.key);
+        cancelled.insert(*ev.key);
+      }
+      ev.key.reset();
+    } else {
+      step();
+      if (testing::Test::HasFatalFailure()) return;
+    }
+    ASSERT_EQ(sim.pending_events(), live.size()) << "seed " << seed << " op " << op;
+    ASSERT_EQ(sim.queued_records(), live.size() + cancelled.size())
+        << "seed " << seed << " op " << op;
+    ASSERT_EQ(sim.lane_count(), alive.size());
+  }
+  while (!live.empty()) {
+    step();
+    if (testing::Test::HasFatalFailure()) return;
+  }
+  step();  // pops what cancelled records remain, fires nothing
+  EXPECT_EQ(sim.queued_records(), 0u);
+  EXPECT_TRUE(sim.empty());
+}
+
+TEST(SimulatorLanes, RandomOpsFireInTimeSeqOrder) {
+  // Seeded random mixes of lane create / aim (earlier, later, same instant)
+  // / disarm / destroy (also from the lane's own callback), plain
+  // schedule_at / cancel, and step(): every fire must be the live minimum
+  // (time, seq), and the pending and queued counts must match the model.
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    run_random_ops(seed, 20'000);
+    if (HasFatalFailure()) return;
+  }
 }
 
 TEST(SimulatorDeath, SchedulingIntoThePastAborts) {

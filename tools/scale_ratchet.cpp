@@ -16,6 +16,12 @@
 // and more slow-path rebalances even when host noise hides it in the ratio.
 // A change that moves them on purpose recaptures the baseline.
 //
+// Beside each ratio it prints both arms' baseline and current times
+// (full_ms, incremental_ms). They are not gated, since they are not paired
+// against the machine, but they say which arm moved: a change that speeds
+// up the full reference arm more than the incremental one lowers the ratio
+// without any regression.
+//
 // Only cells carrying both "workers" and "speedup" participate: the "sweep"
 // section's executor speedup depends on the runner's core count, and
 // incremental-only cells (star_4096) have no full arm to ratio against. A
@@ -55,7 +61,10 @@ int main(int argc, char** argv) {
 
   bool ok = true;
   int cells = 0;
-  std::printf("  %-16s %10s %10s %8s\n", "cell", "baseline", "current", "ratio");
+  std::printf("  %-16s %10s %10s %8s  %-19s %-19s\n", "", "", "", "",
+              "full_ms", "incremental_ms");
+  std::printf("  %-16s %10s %10s %8s  %9s %9s %9s %9s\n", "cell", "baseline",
+              "current", "ratio", "baseline", "current", "baseline", "current");
   for (const std::string& cell : baseline.section_names()) {
     const double base = baseline.get(cell, "speedup");
     if (std::isnan(baseline.get(cell, "workers")) || std::isnan(base)) continue;
@@ -69,8 +78,10 @@ int main(int argc, char** argv) {
     }
     const double ratio = cur / base;
     const bool pass = ratio >= min_ratio;
-    std::printf("  %-16s %9.2fx %9.2fx %7.2f  %s\n", cell.c_str(), base, cur,
-                ratio, pass ? "ok" : "FAIL");
+    std::printf("  %-16s %9.2fx %9.2fx %8.2f  %9.2f %9.2f %9.2f %9.2f  %s\n",
+                cell.c_str(), base, cur, ratio, baseline.get(cell, "full_ms"),
+                current.get(cell, "full_ms"), baseline.get(cell, "incremental_ms"),
+                current.get(cell, "incremental_ms"), pass ? "ok" : "FAIL");
     if (!pass) ok = false;
     for (const char* counter : kCounters) {
       const double want = baseline.get(cell, counter);
