@@ -52,10 +52,11 @@ void usage() {
       "  --trace PATH       write a Chrome trace of the run (PS, one job)\n"
       "\nnetwork & topology:\n"
       "  --gbps X           worker/host NIC rate in Gbit/s (default 3)\n"
-      "  --ps-gbps X        PS NIC rate (default 10; star topology only)\n"
+      "  --ps-gbps X        PS NIC rate (default 10; --topology star only)\n"
       "  --topology SPEC    star | leaf-spine[:RACKS[:HOSTS_PER_RACK]]\n"
       "                     (default star; leaf-spine defaults to 2 racks x 4)\n"
-      "  --oversub X        leaf-spine oversubscription ratio (default 4)\n"
+      "  --oversub X        leaf-spine oversubscription ratio (default 4;\n"
+      "                     --topology leaf-spine only)\n"
       "\nsharded parameter server (PS only):\n"
       "  --ps-shards N      stripe the key space over N PS hosts (key k on\n"
       "                     shard k%%N); each shard is an independent failure\n"
@@ -144,7 +145,18 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", topo_error.c_str());
     return 1;
   }
-  if (spec->kind == net::TopologySpec::Kind::kStar) {
+  // Each fabric reads one of the two rates; naming the other's would
+  // silently do nothing.
+  const bool star = spec->kind == net::TopologySpec::Kind::kStar;
+  if (flags->has("ps-gbps") && !star) {
+    std::fprintf(stderr, "--ps-gbps needs --topology star\n");
+    return 1;
+  }
+  if (flags->has("oversub") && star) {
+    std::fprintf(stderr, "--oversub needs --topology leaf-spine\n");
+    return 1;
+  }
+  if (star) {
     *spec = net::TopologySpec::star(host_bandwidth, Bandwidth::gbps(ps_gbps));
   } else {
     spec->host_bandwidth = host_bandwidth;

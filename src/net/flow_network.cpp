@@ -163,10 +163,7 @@ std::int64_t FlowNetwork::link_total_bytes(LinkId id) {
   // Settling only this link's flows suffices for its byte/busy counters (the
   // rest of the component keeps draining at unchanged rates).
   comp_flows_.assign(link_flows_[id].begin(), link_flows_[id].end());
-  std::sort(comp_flows_.begin(), comp_flows_.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              return slots_[a].flow.admission < slots_[b].flow.admission;
-            });
+  std::sort(comp_flows_.begin(), comp_flows_.end(), by_admission());
   for (const std::uint32_t slot : comp_flows_) settle_flow(slot, now);
   settle_link_busy(id, now);
   return static_cast<std::int64_t>(link(id).total_bytes);
@@ -300,10 +297,28 @@ void FlowNetwork::graph_remove(std::uint32_t slot) {
   }
 }
 
+void FlowNetwork::ungrouped_insert(std::uint32_t slot) {
+  // Arrivals are nearly always among the newest draining flows (admission is
+  // start order; only setup delays reorder it), so scan back from the end.
+  const std::uint64_t admission = slots_[slot].flow.admission;
+  auto pos = ungrouped_.end();
+  while (pos != ungrouped_.begin() && slots_[*(pos - 1)].flow.admission > admission) {
+    --pos;
+  }
+  ungrouped_.insert(pos, slot);
+}
+
+void FlowNetwork::ungrouped_erase(std::uint32_t slot) {
+  const auto pos =
+      std::lower_bound(ungrouped_.begin(), ungrouped_.end(), slot, by_admission());
+  PROPHET_CHECK(pos != ungrouped_.end() && *pos == slot);
+  ungrouped_.erase(pos);
+}
+
 void FlowNetwork::collect_component(const LinkId* seeds, std::size_t n_seeds) {
   ++epoch_;
   comp_links_.clear();
-  comp_flows_.clear();
+  std::size_t reached = 0;
   for (std::size_t i = 0; i < n_seeds; ++i) {
     const LinkId l = seeds[i];
     if (link_epoch_[l] == epoch_) continue;
@@ -317,7 +332,7 @@ void FlowNetwork::collect_component(const LinkId* seeds, std::size_t n_seeds) {
     for (const std::uint32_t slot : link_flows_[l]) {
       if (slot_epoch_[slot] == epoch_) continue;
       slot_epoch_[slot] = epoch_;
-      comp_flows_.push_back(slot);
+      ++reached;
       // A slow-path walk reaching any member dissolves its whole rate group:
       // the walk is about to re-derive the component's rates from scratch,
       // and every member shares this flow's anchor so the BFS covers them.
@@ -332,11 +347,17 @@ void FlowNetwork::collect_component(const LinkId* seeds, std::size_t n_seeds) {
     }
   }
   // Admission order is the deterministic walk order everywhere (it is what
-  // the full algorithm uses), independent of discovery order.
-  std::sort(comp_flows_.begin(), comp_flows_.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              return slots_[a].flow.admission < slots_[b].flow.admission;
-            });
+  // the full algorithm uses), independent of discovery order. Every flow the
+  // walk reached is ungrouped now (it dissolved any group it met), so the
+  // component is ungrouped_ itself or the entries this walk stamped.
+  if (reached == ungrouped_.size()) {
+    comp_flows_.assign(ungrouped_.begin(), ungrouped_.end());
+    return;
+  }
+  comp_flows_.clear();
+  for (const std::uint32_t slot : ungrouped_) {
+    if (slot_epoch_[slot] == epoch_) comp_flows_.push_back(slot);
+  }
 }
 
 void FlowNetwork::settle_flow(std::uint32_t slot, TimePoint now) {
@@ -525,6 +546,30 @@ void FlowNetwork::verify_against_full() {
     PROPHET_CHECK_MSG(f.rate == verify_rate_[slot],
                       "incremental rebalance diverged from full recompute");
   }
+  // The walk order collect_component reads: ungrouped_ must be exactly the
+  // ungrouped draining flows, in admission order.
+  const auto describe = [&](std::size_t i) {
+    if (i >= ungrouped_.size()) return std::string{"its end"};
+    const std::uint32_t slot = ungrouped_[i];
+    return "slot " + std::to_string(slot) + " (admission " +
+           std::to_string(slots_[slot].flow.admission) + ")";
+  };
+  std::size_t i = 0;
+  for (const std::uint32_t slot : all_draining_) {
+    if (slots_[slot].flow.group != kNoGroup) continue;
+    PROPHET_CHECK_MSG(i < ungrouped_.size() && ungrouped_[i] == slot,
+                      ("ungrouped admission list diverged at index " + std::to_string(i) +
+                       ": expected slot " + std::to_string(slot) + " (admission " +
+                       std::to_string(slots_[slot].flow.admission) + "), found " +
+                       describe(i))
+                          .c_str());
+    ++i;
+  }
+  PROPHET_CHECK_MSG(i == ungrouped_.size(),
+                    ("ungrouped admission list holds " + describe(i) +
+                     " past its last ungrouped draining flow, at index " +
+                     std::to_string(i))
+                        .c_str());
 }
 
 // --- rate-group engine ------------------------------------------------------
@@ -755,6 +800,15 @@ void FlowNetwork::maybe_form_group() {
     g.heap.push_back(GroupEntry{f.remaining, f.admission, slot});
   }
   std::make_heap(g.heap.begin(), g.heap.end(), kGroupEntryLater);
+  // The members leave the slow path's list: all of it when the component was
+  // every ungrouped flow (the incast shape).
+  if (n == ungrouped_.size()) {
+    ungrouped_.clear();
+  } else {
+    std::erase_if(ungrouped_, [&](std::uint32_t slot) {
+      return slots_[slot].flow.group != kNoGroup;
+    });
+  }
   g.live = true;
   ++groups_live_;
   g.lane = sim_.lane_create([this, gid] { group_lane_fire(gid); });
@@ -931,13 +985,20 @@ void FlowNetwork::dissolve_group(std::uint32_t gid) {
   // Settle every member exactly (they all sit on the anchor), hand its rate
   // back to the per-flow field, and let the caller's slow-path rebalance
   // re-rate them and re-aim their completion lanes.
-  for (const std::uint32_t slot : link_flows_[g.anchor]) {
+  const std::vector<std::uint32_t>& members = link_flows_[g.anchor];
+  for (const std::uint32_t slot : members) {
     settle_flow(slot, now);
     Flow& f = slots_[slot].flow;
     f.rate = g.rate;
     f.group = kNoGroup;
     f.group_hist = 0;
   }
+  // The members rejoin the slow path's list: sorted once, then merged in.
+  const auto joined = static_cast<std::ptrdiff_t>(ungrouped_.size());
+  ungrouped_.insert(ungrouped_.end(), members.begin(), members.end());
+  std::sort(ungrouped_.begin() + joined, ungrouped_.end(), by_admission());
+  std::inplace_merge(ungrouped_.begin(), ungrouped_.begin() + joined, ungrouped_.end(),
+                     by_admission());
   group_advance(g, now);
   ++stats_.group_dissolves;
   group_destroy(gid);
@@ -1058,11 +1119,10 @@ void FlowNetwork::enter_drain(FlowId id) {
   f.draining = true;
   f.last_settled = now;
   graph_insert(slot);
-  comp_flows_.push_back(slot);
-  std::sort(comp_flows_.begin(), comp_flows_.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              return slots_[a].flow.admission < slots_[b].flow.admission;
-            });
+  ungrouped_insert(slot);
+  const auto at =
+      std::upper_bound(comp_flows_.begin(), comp_flows_.end(), slot, by_admission());
+  comp_flows_.insert(at, slot);
   refill_component();
 }
 
@@ -1100,6 +1160,7 @@ Bytes FlowNetwork::cancel_flow(FlowId id) {
     const auto remaining =
         static_cast<std::int64_t>(std::ceil(s.flow.remaining - kDrainEpsilon));
     graph_remove(slot);
+    ungrouped_erase(slot);
     release_slot(slot);
     refill_component();
     return Bytes::of(std::max<std::int64_t>(remaining, 0));
@@ -1149,6 +1210,7 @@ void FlowNetwork::complete_flow(FlowId id) {
                     "flow completion fired with bytes still pending");
   auto on_complete = std::move(s.flow.on_complete);
   graph_remove(slot);
+  ungrouped_erase(slot);
   release_slot(slot);
   refill_component();
   if (on_complete) on_complete(id);

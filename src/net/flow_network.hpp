@@ -334,8 +334,18 @@ class FlowNetwork {
   void graph_insert(std::uint32_t slot);
   void graph_remove(std::uint32_t slot);
   // BFS over the contention graph from `seeds` into comp_links_/comp_flows_
-  // (flows sorted by admission). Seeds are always included in comp_links_.
+  // (flows in admission order, read off ungrouped_). Seeds are always
+  // included in comp_links_.
   void collect_component(const LinkId* seeds, std::size_t n_seeds);
+  // ungrouped_ upkeep where a slow-path flow starts or stops draining.
+  void ungrouped_insert(std::uint32_t slot);
+  void ungrouped_erase(std::uint32_t slot);
+  // Orders flow slots by admission, the tie-break every walk uses.
+  [[nodiscard]] auto by_admission() const {
+    return [this](std::uint32_t a, std::uint32_t b) {
+      return slots_[a].flow.admission < slots_[b].flow.admission;
+    };
+  }
   // Credits the flow's drained bytes to its links for [last_settled, now].
   void settle_flow(std::uint32_t slot, TimePoint now);
   // Accrues the link's busy time to `now`.
@@ -356,7 +366,8 @@ class FlowNetwork {
   void refill_component();
   // Re-aims (or, at rate zero, disarms) one draining flow's completion lane.
   void reschedule_completion(std::uint32_t slot);
-  // Asserts every draining flow's rate matches a full recompute bit-for-bit.
+  // Asserts every draining flow's rate matches a full recompute bit-for-bit,
+  // and that ungrouped_ is exactly the ungrouped draining flows in order.
   void verify_against_full();
 
   // --- rate-group engine ---------------------------------------------------
@@ -442,6 +453,11 @@ class FlowNetwork {
   std::vector<std::uint64_t> slot_epoch_;
   std::vector<LinkId> comp_links_;
   std::vector<std::uint32_t> comp_flows_;
+  // kIncremental only: every draining flow outside a rate group, in admission
+  // order, so a component walk filters it instead of sorting. Only the slow
+  // path maintains it: enter_drain inserts, complete_flow/cancel_flow erase,
+  // maybe_form_group drops new members and dissolve_group merges them back.
+  std::vector<std::uint32_t> ungrouped_;
   // Full/verify-path scratch.
   std::vector<std::uint32_t> all_draining_;
   std::vector<double> verify_rate_;

@@ -230,6 +230,59 @@ TEST(IncrementalRates, CancellationPreservesAdmissionOrdering) {
   EXPECT_EQ(completed, 5);
 }
 
+// Same-instant completions fire in admission order even where slot order and
+// the bottleneck's per-link list disagree with it. Seven equal flows (below
+// the rate-group size, so they stay on the slow path) take recycled slots in
+// reverse admission order, two decoys among them are cancelled mid-drain
+// (each swap-and-pops the shared link's list), and the five survivors drain
+// to one instant: their lanes were aimed in the walk order, so that is the
+// order their callbacks fire in.
+TEST(IncrementalRates, SameInstantCompletionsFireInAdmissionOrder) {
+  Fixture f;
+  f.net.set_verify_rates(true);
+  const NodeId ps = f.net.add_node("ps", Bandwidth::gbps(1), Bandwidth::gbps(1));
+  std::vector<NodeId> workers;
+  for (int i = 0; i < 7; ++i) {
+    workers.push_back(f.net.add_node("w" + std::to_string(i), Bandwidth::gbps(1),
+                                     Bandwidth::gbps(1)));
+  }
+  // Cancelling in setup frees slots 0..6 in order; the free list is LIFO, so
+  // each later admission below gets a lower slot.
+  std::vector<FlowId> fillers;
+  for (const NodeId w : workers) {
+    fillers.push_back(f.net.start_flow(w, ps, Bytes::of(1), nullptr));
+  }
+  for (const FlowId id : fillers) f.net.cancel_flow(id);
+
+  const auto slot_of = [](FlowId id) { return id & 0xffffffffu; };  // FlowId's low word
+  std::vector<FlowId> ids;
+  std::vector<FlowId> decoys;
+  std::vector<int> fired;
+  std::vector<std::int64_t> fired_ns;
+  for (int i = 0; i < 7; ++i) {
+    const bool decoy = i == 1 || i == 4;
+    const FlowId id = f.net.start_flow(
+        workers[static_cast<std::size_t>(i)], ps, Bytes::of(2'000'000),
+        [&f, &fired, &fired_ns, i](FlowId) {
+          fired.push_back(i);
+          fired_ns.push_back(f.sim.now().count_nanos());
+        });
+    if (!ids.empty()) {
+      ASSERT_LT(slot_of(id), slot_of(ids.back()));
+    }
+    ids.push_back(id);
+    if (decoy) decoys.push_back(id);
+  }
+  f.sim.schedule_after(2_ms, [&f, &decoys] { f.net.cancel_flow(decoys[0]); });
+  f.sim.schedule_after(3_ms, [&f, &decoys] { f.net.cancel_flow(decoys[1]); });
+  f.sim.run();
+
+  EXPECT_EQ(fired, (std::vector<int>{0, 2, 3, 5, 6}));
+  ASSERT_EQ(fired_ns.size(), 5u);
+  for (const std::int64_t ns : fired_ns) EXPECT_EQ(ns, fired_ns.front());
+  EXPECT_EQ(f.net.rebalance_stats().group_forms, 0u);
+}
+
 // Replay determinism at cluster level: two incremental runs of the same
 // config produce identical simulations.
 TEST(IncrementalRates, IncrementalClusterReplaysIdentically) {
@@ -399,6 +452,83 @@ TEST(RateGroups, AbortingHalfTheGroupKeepsRatesVerified) {
   f.sim.run();
   EXPECT_EQ(completed, 6);
   EXPECT_GT(f.net.rebalance_stats().verify_checks, 0u);
+}
+
+// A group's life on a leaf-spine beside flows it never touches, verified: the
+// full check also requires the slow path's admission list to be exactly the
+// ungrouped draining flows in order, so every transition below (form, fast
+// admit, grouped and ungrouped cancels, a dissolving arrival, capacity
+// changes on the anchor) is checked to keep it.
+TEST(RateGroups, FormAndDissolveKeepWalkOrder) {
+  Fixture f;
+  f.net.set_verify_rates(true);
+  const RackId r0 = f.net.add_rack("r0", Bandwidth::gbps(1), Bandwidth::gbps(2));
+  const RackId r1 = f.net.add_rack("r1", Bandwidth::gbps(1), Bandwidth::gbps(2));
+  const auto host = [&f](const std::string& name, RackId rack, Bandwidth tx) {
+    const NodeId n = f.net.add_node(name, tx, Bandwidth::gbps(10));
+    f.net.assign_rack(n, rack);
+    return n;
+  };
+  std::vector<NodeId> senders;
+  for (int i = 0; i < 9; ++i) {
+    senders.push_back(host("s" + std::to_string(i), r0, Bandwidth::gbps(10)));
+  }
+  const NodeId slow = host("slow", r0, Bandwidth::mbps(10));
+  const NodeId sink = host("sink", r1, Bandwidth::gbps(10));
+  const NodeId b0 = host("b0", r1, Bandwidth::gbps(10));
+  const NodeId b1 = host("b1", r1, Bandwidth::gbps(10));
+
+  int completed = 0;
+  const auto count = [&completed](FlowId) { ++completed; };
+  // Two r1 -> r0 flows in a component of their own, admitted before and
+  // after the incast: they stay ungrouped while its group forms beside them,
+  // and the dissolved members must merge back in between them.
+  f.net.start_flow(b0, senders[0], Bytes::of(8'000'000), count);
+  f.sim.schedule_after(9500_us, [&f, &count, b1, &senders] {
+    f.net.start_flow(b1, senders[1], Bytes::of(8'000'000), count);
+  });
+  // An incast on r0's uplink: the 8th arrival forms a group anchored there,
+  // the 9th joins it on the fast path.
+  std::vector<FlowId> incast(senders.size());
+  for (std::size_t i = 0; i < senders.size(); ++i) {
+    f.sim.schedule_after(Duration::millis(static_cast<std::int64_t>(i)),
+                         [&f, &incast, &senders, &count, sink, i] {
+                           incast[i] = f.net.start_flow(senders[i], sink,
+                                                        Bytes::of(4'000'000), count);
+                         });
+  }
+  const LinkId anchor = f.net.rack_link(r0, Direction::kTx);
+  bool grouped = false;
+  f.sim.schedule_after(10_ms, [&f, &incast, &grouped] {
+    grouped = f.net.rate_group_count() == 1;
+    f.net.cancel_flow(incast[0]);  // a grouped member
+  });
+  f.sim.schedule_after(11_ms, [&f, anchor] {
+    f.net.set_link_capacity(anchor, Bandwidth::mbps(900));
+  });
+  // A cross-rack arrival whose own 10 Mbps NIC is below the group's share:
+  // it cannot join, and the slow path's walk reaches the group and dissolves it.
+  FlowId slow_id = 0;
+  f.sim.schedule_after(12_ms, [&f, &slow_id, &count, slow, sink] {
+    slow_id = f.net.start_flow(slow, sink, Bytes::of(1'000'000), count);
+  });
+  f.sim.schedule_after(14_ms, [&f, &incast] {
+    EXPECT_EQ(f.net.rate_group_count(), 0u);
+    f.net.cancel_flow(incast[3]);  // an ungrouped member now
+  });
+  f.sim.schedule_after(15_ms, [&f, anchor] {
+    f.net.set_link_capacity(anchor, Bandwidth::gbps(1));
+  });
+  f.sim.schedule_after(16_ms, [&f, &slow_id] { f.net.cancel_flow(slow_id); });
+  f.sim.run();
+
+  EXPECT_TRUE(grouped);
+  EXPECT_EQ(completed, 2 + 9 - 2);
+  const RebalanceStats& stats = f.net.rebalance_stats();
+  EXPECT_GT(stats.group_forms, 0u);
+  EXPECT_GT(stats.group_dissolves, 0u);
+  EXPECT_GT(stats.group_fast_events, 0u);
+  EXPECT_GT(stats.verify_checks, 0u);
 }
 
 // Cluster-level crash plan on an 8-worker incast: the crashes abort the
