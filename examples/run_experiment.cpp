@@ -43,16 +43,20 @@ void usage() {
       "  --workers N        worker count (default 3)\n"
       "  --iterations N     training iterations (default 40)\n"
       "  --seed N           simulation seed (default 42)\n"
-      "  --asp              asynchronous parallel updates (PS only)\n"
+      "  --asp              asynchronous parallel updates (PS only; not with\n"
+      "                     --worker-crash or --ps-crash)\n"
       "\nstrategy & architecture:\n"
       "  --strategy NAME    %s\n"
       "                     (default prophet)\n"
-      "  --arch NAME        ps|allreduce (default ps)\n"
-      "  --profile-iters N  Prophet profiling length (default 10)\n"
+      "  --arch NAME        ps|allreduce (default ps; every flag marked PS only\n"
+      "                     needs ps)\n"
+      "  --profile-iters N  Prophet profiling length (default 10; --strategy\n"
+      "                     prophet only)\n"
       "  --trace PATH       write a Chrome trace of the run (PS, one job)\n"
       "\nnetwork & topology:\n"
       "  --gbps X           worker/host NIC rate in Gbit/s (default 3)\n"
-      "  --ps-gbps X        PS NIC rate (default 10; --topology star only)\n"
+      "  --ps-gbps X        PS NIC rate (default 10; PS only, --topology star\n"
+      "                     only)\n"
       "  --topology SPEC    star | leaf-spine[:RACKS[:HOSTS_PER_RACK]]\n"
       "                     (default star; leaf-spine defaults to 2 racks x 4)\n"
       "  --oversub X        leaf-spine oversubscription ratio (default 4;\n"
@@ -74,17 +78,21 @@ void usage() {
       "                     (all workers when WORKER is omitted)\n"
       "  --straggler SPEC   WORKER:FACTOR[:T_S]  — slow one worker's compute\n"
       "  --ps-degrade SPEC  FACTOR[:T_S]  — scale the PS update CPU cost\n"
-      "\ncrash & reliable-transport faults (PS only, BSP only):\n"
+      "\ncrash & reliable-transport faults (PS only):\n"
       "  --worker-crash SPEC T_S:DUR_S:WORKER  — kill one worker, restart it\n"
-      "                     DUR_S later\n"
+      "                     DUR_S later (BSP only: not with --asp)\n"
       "  --ps-crash SPEC    T_S:DUR_S[:shard:K]  — kill the PS (or only its\n"
       "                     shard K); failover restores the last checkpoint\n"
       "                     DUR_S later, rolling back only the crashed\n"
-      "                     shard's keys while survivors keep serving\n"
-      "  --checkpoint-s X   PS checkpoint period in seconds (default 2)\n"
+      "                     shard's keys while survivors keep serving (BSP\n"
+      "                     only: not with --asp)\n"
+      "  --checkpoint-s X   PS checkpoint period in seconds (default 2; needs\n"
+      "                     a PS crash: --ps-crash or a ps_crash trace row)\n"
       "  --loss SPEC        RATE[:T_S]  — transport loss probability per\n"
       "                     attempt, from T_S on (default from the start)\n"
-      "  --retry-budget N   retries per transfer before aborting (default 16)\n",
+      "  --retry-budget N   retries per transfer before aborting (default 16;\n"
+      "                     needs transport loss: --loss or a loss_rate trace\n"
+      "                     row)\n",
       strategy_list().c_str());
 }
 
@@ -239,6 +247,40 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
+  if (arch == "allreduce") {
+    for (const char* ps_only :
+         {"asp", "ps-gbps", "ps-shards", "jobs", "placement", "interleave", "dynamics",
+          "outage", "straggler", "ps-degrade", "worker-crash", "ps-crash",
+          "checkpoint-s", "loss", "retry-budget"}) {
+      if (flags->has(ps_only)) {
+        std::fprintf(stderr, "--%s needs --arch ps\n", ps_only);
+        return 1;
+      }
+    }
+  }
+  if (cfg.sync == ps::SyncMode::kAsp) {
+    for (const char* crash : {"worker-crash", "ps-crash"}) {
+      if (flags->has(crash)) {
+        std::fprintf(stderr, "--%s needs BSP, so it cannot run with --asp\n", crash);
+        return 1;
+      }
+    }
+  }
+  if (flags->has("checkpoint-s") && !cfg.dynamics.has_ps_crash()) {
+    std::fprintf(stderr, "--checkpoint-s needs a PS crash (--ps-crash or a ps_crash "
+                         "trace row)\n");
+    return 1;
+  }
+  if (flags->has("retry-budget") && !cfg.dynamics.has_loss()) {
+    std::fprintf(stderr, "--retry-budget needs transport loss (--loss or a loss_rate "
+                         "trace row)\n");
+    return 1;
+  }
+  if (flags->has("profile-iters") &&
+      cfg.strategy.kind != ps::StrategyConfig::Kind::kProphet) {
+    std::fprintf(stderr, "--profile-iters needs --strategy prophet\n");
+    return 1;
+  }
   std::printf("%s | %s | %zu workers | %s | batch %d | %zu iterations",
               arch.c_str(), cfg.model.name().c_str(), cfg.num_workers,
               format_bandwidth(host_bandwidth).c_str(), cfg.batch,
@@ -249,10 +291,6 @@ int main(int argc, char** argv) {
   std::printf("\n");
 
   if (arch == "allreduce") {
-    if (jobs > 1) {
-      std::fprintf(stderr, "--jobs > 1 needs --arch ps (the ring runs one job)\n");
-      return 1;
-    }
     const auto result = ar::run_allreduce(cfg);
     std::printf("[%s/ring] rate %.2f samples/s/worker, GPU utilization %.1f%%\n",
                 strategy_name.c_str(), result.mean_rate(),

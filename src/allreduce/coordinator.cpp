@@ -12,7 +12,8 @@ Coordinator::Coordinator(sim::Simulator& sim, net::FlowNetwork& network,
       num_workers_{nodes.size()},
       scheduler_{std::move(scheduler)},
       on_reduced_{std::move(on_reduced)},
-      ring_{sim, network, std::move(nodes)} {
+      ring_{sim, network, std::move(nodes)},
+      poll_{sim.lane_create([this] { pump(); })} {
   PROPHET_CHECK(scheduler_ != nullptr);
   PROPHET_CHECK(on_reduced_ != nullptr);
   keys_.resize(model.tensor_count());
@@ -52,8 +53,8 @@ void Coordinator::pump() {
   if (ring_.busy()) return;
   auto task = scheduler_->next_task(sim_.now());
   if (!task.has_value()) {
-    if (scheduler_->has_pending() && !poll_.pending()) {
-      poll_ = sim_.schedule_after(Duration::millis(1), [this] { pump(); });
+    if (scheduler_->has_pending() && !sim_.lane_armed(poll_)) {
+      sim_.lane_aim(poll_, sim_.now() + Duration::millis(1));
     }
     return;
   }

@@ -30,6 +30,9 @@ class Coordinator {
               std::vector<net::NodeId> nodes, const dnn::ModelSpec& model,
               std::unique_ptr<sched::CommScheduler> scheduler,
               ReducedCallback on_reduced);
+  ~Coordinator() { sim_.lane_destroy(poll_); }
+  Coordinator(const Coordinator&) = delete;
+  Coordinator& operator=(const Coordinator&) = delete;
 
   // Worker `worker` finished producing gradient `key` this round.
   void on_gradient_ready(std::size_t worker, std::size_t key);
@@ -57,7 +60,8 @@ class Coordinator {
     std::size_t versions = 0;
   };
   std::vector<KeyState> keys_;
-  sim::EventHandle poll_;
+  // Re-poll lane for a scheduler that declines work now but holds some.
+  sim::LaneId poll_;
 };
 
 }  // namespace prophet::ar

@@ -19,11 +19,13 @@ BandwidthMonitor::BandwidthMonitor(sim::Simulator& sim, FlowNetwork& network,
       link_{network.node_link(node, dir)},
       ewma_{kEwmaAlpha} {
   PROPHET_CHECK(config.sample_period > Duration::zero());
-  timer_ = sim_.schedule_periodic(config.sample_period,
-                                  [this](TimePoint) { sample_now(); });
+  timer_ = sim_.lane_create([this, period = config.sample_period] {
+    if (stopped_) return;
+    sample_now();
+    sim_.lane_aim(timer_, sim_.now() + period);
+  });
+  sim_.lane_aim(timer_, sim_.now() + config.sample_period);
 }
-
-BandwidthMonitor::~BandwidthMonitor() { timer_.cancel(); }
 
 void BandwidthMonitor::sample_now() {
   const auto bytes = static_cast<double>(network_.link_total_bytes(link_));

@@ -25,10 +25,10 @@ struct BandwidthMonitorConfig {
 class BandwidthMonitor {
  public:
   // Monitors `node`'s `dir` access link. Starts its periodic sampling
-  // immediately.
+  // immediately, on a lane of `sim` that the destructor destroys.
   BandwidthMonitor(sim::Simulator& sim, FlowNetwork& network, NodeId node,
                    Direction dir, BandwidthMonitorConfig config = {});
-  ~BandwidthMonitor();
+  ~BandwidthMonitor() { sim_.lane_destroy(timer_); }
   BandwidthMonitor(const BandwidthMonitor&) = delete;
   BandwidthMonitor& operator=(const BandwidthMonitor&) = delete;
 
@@ -40,8 +40,9 @@ class BandwidthMonitor {
   // Takes one sample immediately (also called by the periodic timer).
   void sample_now();
 
-  // Cancels the periodic timer (lets the simulation drain at shutdown).
-  void stop() { timer_.cancel(); }
+  // Ends the periodic sampling (lets the simulation drain at shutdown). The
+  // tick already aimed still lands, as a no-op.
+  void stop() { stopped_ = true; }
 
  private:
   sim::Simulator& sim_;
@@ -51,7 +52,8 @@ class BandwidthMonitor {
   double last_bytes_{0.0};
   Duration last_busy_{};
   std::size_t samples_{0};
-  sim::EventHandle timer_;
+  sim::LaneId timer_{sim::kNoLane};
+  bool stopped_{false};
 };
 
 }  // namespace prophet::net

@@ -26,6 +26,10 @@ ReliableChannel::ReliableChannel(sim::Simulator& sim, FlowNetwork& net,
                                  std::size_t retry_budget, Rng rng)
     : sim_{sim}, net_{net}, retry_budget_{retry_budget}, rng_{rng} {}
 
+ReliableChannel::~ReliableChannel() {
+  for (const auto& [id, p] : sends_) destroy_lanes(p);
+}
+
 void ReliableChannel::set_loss_rate(double rate) {
   PROPHET_CHECK_MSG(rate >= 0.0 && rate < 1.0,
                     "ReliableChannel: loss rate must be in [0, 1)");
@@ -54,6 +58,16 @@ void ReliableChannel::launch(std::uint64_t id) {
                            [this, id](FlowId) { on_attempt_complete(id); });
   p.flow_live = true;
   if (loss_rate_ <= 0.0) return;
+  if (p.timer == sim::kNoLane) {
+    p.timer = sim_.lane_create([this, id] {
+      if (sends_.at(id).flow_live) {
+        fail_attempt(id, ChannelFault::Kind::kLoss);
+      } else {
+        launch(id);  // the backoff ended
+      }
+    });
+    p.watchdog = sim_.lane_create([this, id] { on_watchdog(id); });
+  }
 
   // Doomed attempts are decided up front (one bernoulli per attempt) and the
   // drop lands at a uniform point inside the attempt's ideal serialization
@@ -67,11 +81,10 @@ void ReliableChannel::launch(std::uint64_t id) {
     const Duration ideal = line.time_to_send(p.attempt_bytes);
     const Duration drop_after =
         std::max(ideal * rng_.next_double(), Duration::nanos(1));
-    p.loss_event = sim_.schedule_after(
-        drop_after, [this, id] { fail_attempt(id, ChannelFault::Kind::kLoss); });
+    sim_.lane_aim(p.timer, sim_.now() + drop_after);
   }
   p.watchdog_remaining = static_cast<double>(p.attempt_bytes.count());
-  p.watchdog = sim_.schedule_after(kStallTimeout, [this, id] { on_watchdog(id); });
+  sim_.lane_aim(p.watchdog, sim_.now() + kStallTimeout);
 }
 
 void ReliableChannel::on_watchdog(std::uint64_t id) {
@@ -80,16 +93,16 @@ void ReliableChannel::on_watchdog(std::uint64_t id) {
   if (remaining < p.watchdog_remaining) {
     // Bytes moved since the last check: still alive, re-arm.
     p.watchdog_remaining = remaining;
-    p.watchdog = sim_.schedule_after(kStallTimeout, [this, id] { on_watchdog(id); });
+    sim_.lane_aim(p.watchdog, sim_.now() + kStallTimeout);
     return;
   }
   fail_attempt(id, ChannelFault::Kind::kTimeout);
 }
 
-void ReliableChannel::cancel_timers(Pending& p) {
-  p.loss_event.cancel();
-  p.watchdog.cancel();
-  p.retry_event.cancel();
+void ReliableChannel::destroy_lanes(const Pending& p) {
+  if (p.timer == sim::kNoLane) return;
+  sim_.lane_destroy(p.timer);
+  sim_.lane_destroy(p.watchdog);
 }
 
 Duration ReliableChannel::backoff_for(std::size_t failed_attempts) {
@@ -104,7 +117,9 @@ Duration ReliableChannel::backoff_for(std::size_t failed_attempts) {
 
 void ReliableChannel::fail_attempt(std::uint64_t id, ChannelFault::Kind kind) {
   Pending& p = sends_.at(id);
-  cancel_timers(p);
+  // One of the two lanes is running this callback: disarming it is a no-op.
+  sim_.lane_disarm(p.timer);
+  sim_.lane_disarm(p.watchdog);
   Bytes remaining = p.attempt_bytes;
   if (p.flow_live) {
     remaining = net_.cancel_flow(p.flow);
@@ -123,13 +138,13 @@ void ReliableChannel::fail_attempt(std::uint64_t id, ChannelFault::Kind kind) {
     fault.backoff = backoff;
     on_fault_(fault);
   }
-  p.retry_event = sim_.schedule_after(backoff, [this, id] { launch(id); });
+  sim_.lane_aim(p.timer, sim_.now() + backoff);
 }
 
 void ReliableChannel::on_attempt_complete(std::uint64_t id) {
   Pending& p = sends_.at(id);
   p.flow_live = false;
-  cancel_timers(p);
+  destroy_lanes(p);
   SendOutcome outcome;
   outcome.attempts = p.attempts;
   CompleteFn done = std::move(p.on_complete);
@@ -139,7 +154,7 @@ void ReliableChannel::on_attempt_complete(std::uint64_t id) {
 
 void ReliableChannel::abort_all() {
   for (auto& [id, p] : sends_) {
-    cancel_timers(p);
+    destroy_lanes(p);
     if (p.flow_live) {
       net_.cancel_flow(p.flow);
       p.flow_live = false;

@@ -9,9 +9,10 @@
 // (byte-range resume), so no byte goes over the wire twice.
 //
 // Pay-for-use: at loss rate 0 (until set_loss_rate) a send is one start_flow
-// and zero extra events or RNG draws — a fault-free run is bit-identical to
-// one built without this layer. The channel still tracks the live FlowId so a
-// crash can abort in-flight transfers (abort_all).
+// and zero extra events, lanes or RNG draws — a fault-free run is
+// bit-identical to one built without this layer. A send creates its two
+// lanes at its first attempt launched with loss on. The channel still tracks
+// the live FlowId so a crash can abort in-flight transfers (abort_all).
 #pragma once
 
 #include <cstdint>
@@ -49,6 +50,8 @@ class ReliableChannel {
   // `retry_budget`: retries per transfer beyond its first attempt.
   ReliableChannel(sim::Simulator& sim, FlowNetwork& net, std::size_t retry_budget,
                   Rng rng);
+  // Destroys the lanes of every in-flight send.
+  ~ReliableChannel();
   ReliableChannel(const ReliableChannel&) = delete;
   ReliableChannel& operator=(const ReliableChannel&) = delete;
 
@@ -79,9 +82,11 @@ class ReliableChannel {
     bool flow_live = false;
     double watchdog_remaining = 0.0;  // progress marker at last watchdog check
     CompleteFn on_complete;
-    sim::EventHandle loss_event;
-    sim::EventHandle watchdog;
-    sim::EventHandle retry_event;
+    // kNoLane until the first attempt launched with loss on. `timer` aims at
+    // a doomed attempt's drop point while its flow is live, and at the end of
+    // the backoff between attempts; `watchdog` is the no-progress check.
+    sim::LaneId timer = sim::kNoLane;
+    sim::LaneId watchdog = sim::kNoLane;
   };
 
   void launch(std::uint64_t id);
@@ -89,7 +94,7 @@ class ReliableChannel {
   void on_watchdog(std::uint64_t id);
   void fail_attempt(std::uint64_t id, ChannelFault::Kind kind);
   [[nodiscard]] Duration backoff_for(std::size_t failed_attempts);
-  static void cancel_timers(Pending& p);
+  void destroy_lanes(const Pending& p);
 
   sim::Simulator& sim_;
   FlowNetwork& net_;

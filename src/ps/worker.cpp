@@ -39,6 +39,8 @@ Worker::Worker(sim::Simulator& sim, net::FlowNetwork& network, Params params, Rn
   rx_monitor_ = std::make_unique<net::BandwidthMonitor>(
       sim_, network_, params_.node, net::Direction::kRx, params_.monitor);
 
+  push_poll_ = sim_.lane_create([this] { pump(sched::TaskKind::kPush); });
+  pull_poll_ = sim_.lane_create([this] { pump(sched::TaskKind::kPull); });
   push_sched_ = make_scheduler(params_.strategy, sched::TaskKind::kPush, n,
                                [m = tx_monitor_.get()] { return m->estimate(); },
                                params_.cost);
@@ -65,6 +67,11 @@ Worker::Worker(sim::Simulator& sim, net::FlowNetwork& network, Params params, Rn
       }
     });
   }
+}
+
+Worker::~Worker() {
+  sim_.lane_destroy(push_poll_);
+  sim_.lane_destroy(pull_poll_);
 }
 
 sched::CommScheduler& Worker::scheduler(sched::TaskKind kind) {
@@ -218,9 +225,9 @@ void Worker::pump(sched::TaskKind kind) {
   if (!task.has_value()) {
     // The scheduler may be holding tensors whose release is time-driven;
     // poll again shortly so such work cannot strand.
-    sim::EventHandle& poll = kind == sched::TaskKind::kPush ? push_poll_ : pull_poll_;
-    if (scheduler(kind).has_pending() && !poll.pending()) {
-      poll = sim_.schedule_after(Duration::millis(1), [this, kind] { pump(kind); });
+    const sim::LaneId poll = kind == sched::TaskKind::kPush ? push_poll_ : pull_poll_;
+    if (scheduler(kind).has_pending() && !sim_.lane_armed(poll)) {
+      sim_.lane_aim(poll, sim_.now() + Duration::millis(1));
     }
     return;
   }
@@ -415,8 +422,8 @@ void Worker::halt_inflight() {
   for (auto& channel : channels_) channel->abort_all();
   push_active_.reset();
   pull_active_.reset();
-  push_poll_.cancel();
-  pull_poll_.cancel();
+  sim_.lane_disarm(push_poll_);
+  sim_.lane_disarm(pull_poll_);
   push_hold_ = TimePoint::origin();
   pull_hold_ = TimePoint::origin();
   waiting_for_param_ = false;

@@ -75,6 +75,7 @@ class Worker {
   };
 
   Worker(sim::Simulator& sim, net::FlowNetwork& network, Params params, Rng rng);
+  ~Worker();
   Worker(const Worker&) = delete;
   Worker& operator=(const Worker&) = delete;
 
@@ -238,11 +239,11 @@ class Worker {
   std::vector<std::size_t> enqueue_iter_push_;
   std::optional<ActiveTask> push_active_;
   std::optional<ActiveTask> pull_active_;
-  // Re-poll timers for a scheduler that declines work now but holds pending
+  // Re-poll lanes for a scheduler that declines work now but holds pending
   // tensors whose release is time-driven. Only MG-WFBP declines (its age
   // trigger); Prophet always returns a task when work is queued.
-  sim::EventHandle push_poll_;
-  sim::EventHandle pull_poll_;
+  sim::LaneId push_poll_{sim::kNoLane};
+  sim::LaneId pull_poll_{sim::kNoLane};
   // NIC hold-off deadlines from blocking/credit acknowledgments: pumps
   // triggered inside the window (e.g. by an enqueue) must not start a task.
   TimePoint push_hold_{};

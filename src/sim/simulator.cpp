@@ -5,66 +5,31 @@
 
 namespace prophet::sim {
 
-Simulator::~Simulator() {
-  for (auto& slot : pool_->slots) {
-    slot.done = true;
-    slot.cb = nullptr;
-  }
-  pool_->live = 0;
-}
-
-EventHandle Simulator::schedule_at(TimePoint at, Callback cb) {
-  PROPHET_CHECK_MSG(at >= now_, "scheduling into the past");
-  PROPHET_CHECK(cb != nullptr);
-  const std::uint32_t slot = pool_->acquire(/*counts_live=*/true);
-  PROPHET_CHECK_MSG(slot < kLaneTag, "event pool exhausted the slot space");
-  const std::uint32_t generation = pool_->slots[slot].generation;
-  pool_->slots[slot].cb = std::move(cb);
+std::uint32_t Simulator::next_seq() {
   PROPHET_CHECK_MSG(next_seq_ != std::numeric_limits<std::uint32_t>::max(),
                     "event sequence counter exhausted");
-  heap_push(Record{at, next_seq_++, slot});
-  return EventHandle{pool_, slot, generation};
+  return next_seq_++;
 }
 
-EventHandle Simulator::schedule_after(Duration delay, Callback cb) {
+void Simulator::schedule_at(TimePoint at, Callback cb) {
+  PROPHET_CHECK_MSG(at >= now_, "scheduling into the past");
+  PROPHET_CHECK(cb != nullptr);
+  std::uint32_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    PROPHET_CHECK_MSG(slot < kLaneTag, "event slots exhausted the slot space");
+    slots_.emplace_back();
+  }
+  slots_[slot] = std::move(cb);
+  heap_push(Record{at, next_seq(), slot});
+}
+
+void Simulator::schedule_after(Duration delay, Callback cb) {
   PROPHET_CHECK_MSG(delay >= Duration::zero(), "negative delay");
-  return schedule_at(now_ + delay, std::move(cb));
-}
-
-EventHandle Simulator::schedule_periodic(Duration period,
-                                         std::function<void(TimePoint)> cb) {
-  PROPHET_CHECK(period > Duration::zero());
-  // The chain occupies a pool slot of its own (distinct from the per-tick
-  // queue slots): cancelling it stops future work, while a tick already in
-  // the queue keeps its own lifecycle and fires as a no-op. The tick
-  // callback captures only {this, slot, generation} — the chain's closure is
-  // owned by `chains_`, so no self-referencing cycle is formed and a
-  // cancelled chain's state is reclaimed by the next tick.
-  const std::uint32_t slot = pool_->acquire(/*counts_live=*/false);
-  const std::uint32_t generation = pool_->slots[slot].generation;
-  chains_.emplace(slot, PeriodicChain{period, std::move(cb)});
-  schedule_at(now_ + period, [this, slot, generation] { periodic_tick(slot, generation); });
-  return EventHandle{pool_, slot, generation};
-}
-
-void Simulator::periodic_tick(std::uint32_t slot, std::uint32_t generation) {
-  auto reclaim = [this, slot] {
-    chains_.erase(slot);
-    pool_->release(slot);
-  };
-  if (!pool_->pending(slot, generation)) {
-    reclaim();
-    return;
-  }
-  const auto it = chains_.find(slot);
-  PROPHET_CHECK(it != chains_.end());
-  it->second.cb(now_);
-  if (!pool_->pending(slot, generation)) {
-    reclaim();
-    return;
-  }
-  schedule_at(now_ + it->second.period,
-              [this, slot, generation] { periodic_tick(slot, generation); });
+  schedule_at(now_ + delay, std::move(cb));
 }
 
 LaneId Simulator::lane_create(Callback cb) {
@@ -89,7 +54,7 @@ void Simulator::lane_destroy(LaneId id) {
   lane_disarm(id);
   Lane& ln = lanes_[id];
   ln.alive = false;
-  ln.cb = nullptr;  // no-op if destroyed mid-fire: dispatch() holds the cb
+  ln.cb = nullptr;  // no-op if destroyed mid-fire: fire() holds the cb
   --lanes_live_;
   lane_free_.push_back(id);
 }
@@ -97,12 +62,9 @@ void Simulator::lane_destroy(LaneId id) {
 void Simulator::lane_aim(LaneId id, TimePoint at) {
   PROPHET_CHECK(id < lanes_.size() && lanes_[id].alive);
   PROPHET_CHECK_MSG(at >= now_, "aiming a lane into the past");
-  PROPHET_CHECK_MSG(next_seq_ != std::numeric_limits<std::uint32_t>::max(),
-                    "event sequence counter exhausted");
-  const Record rec{at, next_seq_++, id | kLaneTag};
+  const Record rec{at, next_seq(), id | kLaneTag};
   const std::uint32_t pos = lanes_[id].heap_pos;
   if (pos == kNotQueued) {
-    ++lanes_armed_;
     heap_push(rec);
   } else if (earlier(rec, heap_[pos])) {
     sift_up(pos, rec);
@@ -114,9 +76,7 @@ void Simulator::lane_aim(LaneId id, TimePoint at) {
 void Simulator::lane_disarm(LaneId id) {
   PROPHET_CHECK(id < lanes_.size() && lanes_[id].alive);
   const std::uint32_t pos = lanes_[id].heap_pos;
-  if (pos == kNotQueued) return;
-  remove_at(pos);
-  --lanes_armed_;
+  if (pos != kNotQueued) remove_at(pos);
 }
 
 bool Simulator::lane_armed(LaneId id) const {
@@ -181,73 +141,54 @@ void Simulator::remove_at(std::size_t i) {
 Simulator::Record Simulator::pop_front() {
   const Record top = heap_.front();
   remove_at(0);
-  // Warm the next event's pool slot while the popped event's callback
-  // runs — the slot access pattern is random, and this hides most of the
-  // resulting cache miss. (Lane records live in lanes_, not the pool.)
+  // Warm the next event's slot while the popped event's callback runs — the
+  // slot access pattern is random, and this hides most of the resulting
+  // cache miss. (Lane records live in lanes_, not slots_.)
   if (!heap_.empty() && (heap_[0].slot & kLaneTag) == 0) {
-    __builtin_prefetch(&pool_->slots[heap_[0].slot]);
+    __builtin_prefetch(&slots_[heap_[0].slot]);
   }
   return top;
 }
 
-void Simulator::fire(Record rec) {
+void Simulator::fire(const Record& rec) {
   PROPHET_CHECK(rec.at >= now_);
   now_ = rec.at;
-  // Move the callback out before the slot is recycled: the callback itself
-  // may schedule new events that reuse this very slot.
-  Callback cb = std::move(pool_->slots[rec.slot].cb);
-  pool_->finish(rec.slot);
-  pool_->release(rec.slot);
   ++fired_;
-  cb();
-}
-
-bool Simulator::dispatch(const Record& rec) {
-  if ((rec.slot & kLaneTag) != 0) {
-    // pop_front() cleared the lane's heap_pos: it runs disarmed.
-    const LaneId id = rec.slot & ~kLaneTag;
-    PROPHET_CHECK(rec.at >= now_);
-    now_ = rec.at;
-    --lanes_armed_;
-    ++fired_;
-    // Run the callback from a local: it may re-aim this lane, destroy it, or
-    // even recycle the id for a fresh lane — destroying the std::function we
-    // are executing would be UB. Restore it only if the slot still wants it.
-    Callback cb = std::move(lanes_[id].cb);
+  if ((rec.slot & kLaneTag) == 0) {
+    // Move the callback out and free the slot first: the callback itself
+    // may schedule new events that reuse this very slot.
+    Callback cb = std::move(slots_[rec.slot]);
+    free_slots_.push_back(rec.slot);
     cb();
-    Lane& after = lanes_[id];
-    if (after.alive && !after.cb) after.cb = std::move(cb);
-    return true;
+    return;
   }
-  if (pool_->slots[rec.slot].done) {  // cancelled while queued
-    pool_->release(rec.slot);
-    return false;
-  }
-  fire(rec);
-  return true;
+  // pop_front() cleared the lane's heap_pos: it runs disarmed. Run the
+  // callback from a local: it may re-aim this lane, destroy it, or even
+  // recycle the id for a fresh lane — destroying the std::function we are
+  // executing would be UB. Restore it only if the slot still wants it.
+  const LaneId id = rec.slot & ~kLaneTag;
+  Callback cb = std::move(lanes_[id].cb);
+  cb();
+  Lane& after = lanes_[id];
+  if (after.alive && !after.cb) after.cb = std::move(cb);
 }
 
 std::uint64_t Simulator::run() {
   std::uint64_t fired = 0;
-  while (!heap_.empty()) {
-    if (dispatch(pop_front())) ++fired;
-  }
+  for (; !heap_.empty(); ++fired) fire(pop_front());
   return fired;
 }
 
 std::uint64_t Simulator::run_until(TimePoint deadline) {
   std::uint64_t fired = 0;
-  while (!heap_.empty() && heap_.front().at <= deadline) {
-    if (dispatch(pop_front())) ++fired;
-  }
+  for (; !heap_.empty() && heap_.front().at <= deadline; ++fired) fire(pop_front());
   return fired;
 }
 
 bool Simulator::step() {
-  while (!heap_.empty()) {
-    if (dispatch(pop_front())) return true;
-  }
-  return false;
+  if (heap_.empty()) return false;
+  fire(pop_front());
+  return true;
 }
 
 }  // namespace prophet::sim

@@ -224,20 +224,29 @@ TEST(GoldenRefine, RandomProfileSeed99) {
 // --- Simulator goldens ------------------------------------------------------
 
 TEST(GoldenSim, MixedCancelAndPeriodicTrace) {
+  // The ~25% of events that may be withdrawn, and the periodic, are lanes;
+  // every lane is aimed in schedule order, so it takes the seq the pinned
+  // trace gives its event.
   sim::Simulator sim;
   Rng rng{12345};
-  std::vector<sim::EventHandle> handles;
+  std::vector<sim::LaneId> lanes;
   std::uint64_t work = 0;
   for (int i = 0; i < 5000; ++i) {
-    auto h = sim.schedule_after(Duration::micros(rng.uniform_int(0, 100000)),
-                                [&work] { ++work; });
-    if (rng.bernoulli(0.25)) handles.push_back(h);
+    const TimePoint at = sim.now() + Duration::micros(rng.uniform_int(0, 100000));
+    if (rng.bernoulli(0.25)) {
+      lanes.push_back(sim.lane_create([&work] { ++work; }));
+      sim.lane_aim(lanes.back(), at);
+    } else {
+      sim.schedule_at(at, [&work] { ++work; });
+    }
   }
-  for (std::size_t i = 0; i < handles.size(); i += 2) handles[i].cancel();
-  sim::EventHandle periodic = sim.schedule_periodic(Duration::micros(700), [&](TimePoint) {
+  for (std::size_t i = 0; i < lanes.size(); i += 2) sim.lane_disarm(lanes[i]);
+  sim::LaneId periodic = sim::kNoLane;
+  periodic = sim.lane_create([&] {
     ++work;
-    if (work > 5500) periodic.cancel();
+    if (work <= 5500) sim.lane_aim(periodic, sim.now() + Duration::micros(700));
   });
+  sim.lane_aim(periodic, sim.now() + Duration::micros(700));
   sim.schedule_after(Duration::millis(3), [&] {
     sim.schedule_after(Duration::millis(1), [&work] { work += 10; });
   });
@@ -476,85 +485,6 @@ TEST(EventPool, SlotsAreReusedAcrossBatches) {
   // 5000 events total, but never more than one batch in flight: the slab's
   // high-water mark stays at one batch (plus nothing else), not 5000.
   EXPECT_LE(sim.event_slot_count(), 100u);
-}
-
-TEST(EventPool, CancelledSlotsAreReclaimed) {
-  sim::Simulator sim;
-  for (int batch = 0; batch < 20; ++batch) {
-    std::vector<sim::EventHandle> handles;
-    for (int i = 0; i < 64; ++i) {
-      handles.push_back(sim.schedule_after(Duration::micros(i), [] {}));
-    }
-    for (auto& h : handles) h.cancel();
-    EXPECT_EQ(sim.pending_events(), 0u);
-    sim.run();
-  }
-  EXPECT_LE(sim.event_slot_count(), 64u);
-}
-
-TEST(EventPool, StaleHandleDoesNotCancelSlotReuser) {
-  sim::Simulator sim;
-  bool first_ran = false;
-  bool second_ran = false;
-  sim::EventHandle first = sim.schedule_after(Duration::micros(1), [&] { first_ran = true; });
-  sim.run();
-  ASSERT_TRUE(first_ran);
-  ASSERT_FALSE(first.pending());
-  // The second event reuses the first event's slot (LIFO free list); the
-  // generation bump must keep the stale handle inert.
-  sim::EventHandle second =
-      sim.schedule_after(Duration::micros(1), [&] { second_ran = true; });
-  EXPECT_EQ(sim.event_slot_count(), 1u);
-  first.cancel();  // must be a no-op: generation differs
-  EXPECT_TRUE(second.pending());
-  sim.run();
-  EXPECT_TRUE(second_ran);
-}
-
-TEST(EventPool, HandleOutlivesSimulator) {
-  sim::EventHandle escaped;
-  {
-    sim::Simulator sim;
-    escaped = sim.schedule_after(Duration::micros(5), [] {});
-    EXPECT_TRUE(escaped.pending());
-  }
-  // The pool is shared with the handle, so this neither crashes nor reports
-  // a live event.
-  EXPECT_FALSE(escaped.pending());
-  escaped.cancel();
-}
-
-TEST(EventPool, CancelledPeriodicChainIsReclaimed) {
-  sim::Simulator sim;
-  int ticks = 0;
-  sim::EventHandle chain = sim.schedule_periodic(Duration::micros(10), [&](TimePoint) {
-    ++ticks;
-  });
-  sim.schedule_after(Duration::micros(35), [&] { chain.cancel(); });
-  sim.run();
-  EXPECT_EQ(ticks, 3);
-  EXPECT_FALSE(chain.pending());
-  EXPECT_EQ(sim.pending_events(), 0u);
-  // All slots (chain + ticks + the cancel event) are back on the free list;
-  // scheduling a new event must reuse, not grow, the slab.
-  const std::size_t slots = sim.event_slot_count();
-  sim.schedule_after(Duration::micros(1), [] {});
-  EXPECT_EQ(sim.event_slot_count(), slots);
-}
-
-TEST(EventPool, SelfCancelInsideCallbackIsSafe) {
-  sim::Simulator sim;
-  sim::EventHandle h;
-  int runs = 0;
-  h = sim.schedule_after(Duration::micros(1), [&] {
-    ++runs;
-    h.cancel();  // already firing: must be a no-op, not a double release
-  });
-  sim.run();
-  EXPECT_EQ(runs, 1);
-  sim.schedule_after(Duration::micros(1), [&] { ++runs; });
-  sim.run();
-  EXPECT_EQ(runs, 2);
 }
 
 }  // namespace

@@ -41,8 +41,9 @@ TcpCostModel small_overhead_model() {
 struct Fixture {
   sim::Simulator sim;
   FlowNetwork net;
-  explicit Fixture(RebalanceMode mode = RebalanceMode::kIncremental)
-      : net{sim, small_overhead_model(), mode} {}
+  explicit Fixture(RebalanceMode mode = RebalanceMode::kIncremental,
+                   const TcpCostModel& model = small_overhead_model())
+      : net{sim, model, mode} {}
 };
 
 // Random churn: `flows` transfers between random node pairs at random start
@@ -86,6 +87,24 @@ TEST(IncrementalRates, StarChurnBitIdenticalToFull) {
   for (int i = 0; i < 6; ++i) {
     nodes.push_back(f.net.add_node("n" + std::to_string(i),
                                    Bandwidth::mbps(800), Bandwidth::mbps(600)));
+  }
+  const int completed = drive_churn(f, nodes, 0xfeed, 50);
+  EXPECT_GT(completed, 0);
+}
+
+// Under slow start a flow's setup delay grows with its size, so flows start
+// draining out of admission order and the slow path's admission-ordered
+// list must insert each arrival in place, not append it.
+TEST(IncrementalRates, SlowStartChurnDrainsOutOfAdmissionOrder) {
+  TcpCostParams params;
+  params.per_task_overhead = Duration::micros(50);
+  params.slow_start = true;
+  Fixture f{RebalanceMode::kIncremental, TcpCostModel{params}};
+  f.net.set_verify_rates(true);
+  std::vector<NodeId> nodes;
+  for (int i = 0; i < 6; ++i) {
+    nodes.push_back(f.net.add_node("n" + std::to_string(i), Bandwidth::gbps(10),
+                                   Bandwidth::gbps(10)));
   }
   const int completed = drive_churn(f, nodes, 0xfeed, 50);
   EXPECT_GT(completed, 0);

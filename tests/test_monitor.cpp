@@ -82,9 +82,22 @@ TEST(BandwidthMonitor, StopCancelsTimer) {
   net.add_node("b", Bandwidth::gbps(1), Bandwidth::gbps(1));
   BandwidthMonitor monitor{sim, net, a, Direction::kTx};
   monitor.stop();
-  // At most the already-queued tick fires (as a no-op); the chain is dead.
-  EXPECT_LE(sim.run(), 1u);
+  // Exactly the tick already aimed fires, as a no-op; nothing re-aims it.
+  EXPECT_EQ(sim.run(), 1u);
   EXPECT_EQ(monitor.samples_taken(), 0u);
+}
+
+TEST(BandwidthMonitor, DestroyedMonitorLeavesNoEvent) {
+  sim::Simulator sim;
+  FlowNetwork net{sim, plain_model()};
+  const NodeId a = net.add_node("a", Bandwidth::gbps(1), Bandwidth::gbps(1));
+  net.add_node("b", Bandwidth::gbps(1), Bandwidth::gbps(1));
+  {
+    BandwidthMonitor monitor{sim, net, a, Direction::kTx};
+    EXPECT_EQ(sim.pending_events(), 1u);
+  }
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.run(), 0u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -53,19 +54,58 @@ TEST(Reliability, LossFreeSendIsOneAttemptAtLineRate) {
 }
 
 TEST(Reliability, LossFreeChannelAddsNoEventsOverBareFlow) {
-  // Pay-for-use: the exact event count of a bare start_flow run.
+  // Pay-for-use: the exact event and lane counts of a bare start_flow run.
   std::uint64_t bare_events = 0;
+  std::size_t bare_lanes = 0;
   {
     Fixture f;
     f.net.start_flow(f.a, f.b, Bytes::mib(64), [](FlowId) {});
+    bare_lanes = f.sim.lane_count();
     f.sim.run();
     bare_events = f.sim.events_fired();
   }
   Fixture f;
   ReliableChannel channel{f.sim, f.net, kRetryBudget, Rng{7}};
   channel.send(f.a, f.b, Bytes::mib(64), [](const SendOutcome&) {});
+  EXPECT_EQ(f.sim.lane_count(), bare_lanes);
   f.sim.run();
   EXPECT_EQ(f.sim.events_fired(), bare_events);
+}
+
+TEST(Reliability, LossySendsReleaseTheirLanes) {
+  // Each lossy send holds two lanes from its first attempt until it
+  // completes, is aborted, or its channel dies. A loss-free warm-up first
+  // gives the network its flow slots (each slot keeps a completion lane).
+  constexpr int kSends = 4;
+  Fixture f;
+  auto channel = std::make_unique<ReliableChannel>(f.sim, f.net, 64, Rng{3});
+  int done = 0;
+  int faults = 0;
+  channel->set_fault_handler([&](const ChannelFault&) { ++faults; });
+  const auto send_all = [&] {
+    for (int i = 0; i < kSends; ++i) {
+      channel->send(f.a, f.b, Bytes::mib(4), [&](const SendOutcome&) { ++done; });
+    }
+  };
+  send_all();
+  f.sim.run();
+  const std::size_t base = f.sim.lane_count();
+  channel->set_loss_rate(0.5);
+
+  send_all();
+  EXPECT_EQ(f.sim.lane_count(), base + 2 * kSends);
+  f.sim.run();
+  EXPECT_EQ(done, 2 * kSends);
+  EXPECT_GT(faults, 0);
+  EXPECT_EQ(f.sim.lane_count(), base);
+
+  send_all();
+  channel->abort_all();
+  EXPECT_EQ(f.sim.lane_count(), base);
+
+  send_all();
+  channel.reset();
+  EXPECT_EQ(f.sim.lane_count(), base);
 }
 
 TEST(Reliability, LossyTransferRetriesUntilDelivered) {

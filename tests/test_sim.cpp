@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -63,34 +62,6 @@ TEST(Simulator, ZeroDelayFiresAtSameTime) {
   EXPECT_TRUE(inner);
 }
 
-TEST(Simulator, CancelPreventsFiring) {
-  Simulator sim;
-  bool fired = false;
-  EventHandle handle = sim.schedule_after(5_ms, [&] { fired = true; });
-  EXPECT_TRUE(handle.pending());
-  handle.cancel();
-  EXPECT_FALSE(handle.pending());
-  sim.run();
-  EXPECT_FALSE(fired);
-}
-
-TEST(Simulator, CancelAfterFireIsNoop) {
-  Simulator sim;
-  int count = 0;
-  EventHandle handle = sim.schedule_after(1_ms, [&] { ++count; });
-  sim.run();
-  EXPECT_FALSE(handle.pending());
-  handle.cancel();
-  sim.run();
-  EXPECT_EQ(count, 1);
-}
-
-TEST(Simulator, DefaultHandleIsInert) {
-  EventHandle handle;
-  EXPECT_FALSE(handle.pending());
-  handle.cancel();  // must not crash
-}
-
 TEST(Simulator, RunUntilStopsAtDeadline) {
   Simulator sim;
   std::vector<int> order;
@@ -116,38 +87,18 @@ TEST(Simulator, StepFiresExactlyOne) {
   EXPECT_FALSE(sim.step());
 }
 
-TEST(Simulator, PeriodicFiresUntilCancelled) {
-  Simulator sim;
-  std::vector<double> times;
-  EventHandle handle = sim.schedule_periodic(10_ms, [&](TimePoint now) {
-    times.push_back(now.to_millis());
-    if (times.size() == 3) handle.cancel();
-  });
-  sim.run();
-  EXPECT_EQ(times, (std::vector<double>{10.0, 20.0, 30.0}));
-  EXPECT_TRUE(sim.empty());
-}
-
-TEST(Simulator, PeriodicCancelFromOutside) {
-  Simulator sim;
-  int ticks = 0;
-  EventHandle periodic = sim.schedule_periodic(5_ms, [&](TimePoint) { ++ticks; });
-  sim.schedule_after(17_ms, [&] { periodic.cancel(); });
-  sim.run();
-  EXPECT_EQ(ticks, 3);  // 5, 10, 15
-}
-
 TEST(Simulator, CountsLiveEvents) {
   Simulator sim;
-  auto h1 = sim.schedule_after(1_ms, [] {});
-  auto h2 = sim.schedule_after(2_ms, [] {});
+  const LaneId lane = sim.lane_create([] {});
+  sim.lane_aim(lane, TimePoint::origin() + 1_ms);
+  sim.schedule_after(2_ms, [] {});
   EXPECT_EQ(sim.pending_events(), 2u);
-  h1.cancel();
+  sim.lane_disarm(lane);
   EXPECT_EQ(sim.pending_events(), 1u);
-  (void)h2;
   sim.run();
   EXPECT_TRUE(sim.empty());
   EXPECT_EQ(sim.events_fired(), 1u);
+  sim.lane_destroy(lane);
 }
 
 TEST(SimulatorLanes, FiresAtAimedTime) {
@@ -229,6 +180,28 @@ TEST(SimulatorLanes, CallbackMayDestroyItsOwnLane) {
   EXPECT_TRUE(sim.empty());
 }
 
+TEST(SimulatorLanes, CallbackMayDisarmItsOwnLane) {
+  // A lane runs its callback disarmed, so disarming itself there is a no-op
+  // that must not touch any other record (a ReliableChannel drop failing its
+  // own attempt does this), and a later aim still fires.
+  Simulator sim;
+  LaneId lane = kNoLane;
+  std::vector<double> fired_at;
+  lane = sim.lane_create([&] {
+    fired_at.push_back(sim.now().to_millis());
+    sim.lane_disarm(lane);
+    EXPECT_FALSE(sim.lane_armed(lane));
+    if (fired_at.size() == 1) sim.lane_aim(lane, sim.now() + 5_ms);
+  });
+  sim.lane_aim(lane, TimePoint::origin() + 1_ms);
+  sim.schedule_after(2_ms, [] {});
+  sim.schedule_after(3_ms, [] {});
+  sim.run();
+  EXPECT_EQ(fired_at, (std::vector<double>{1.0, 6.0}));
+  EXPECT_EQ(sim.events_fired(), 4u);
+  sim.lane_destroy(lane);
+}
+
 TEST(SimulatorLanes, DestroyedArmedLaneNeverFires) {
   Simulator sim;
   bool fired = false;
@@ -275,16 +248,15 @@ TEST(SimulatorLanes, ReaimLeavesOneQueuedRecord) {
     const Duration at = i % 2 == 0 ? Duration::micros(50 + i / 2)
                                    : Duration::micros(10'000 - i / 2);
     sim.lane_aim(lane, TimePoint::origin() + at);
-    ASSERT_EQ(sim.queued_records(), 65u) << "after re-aim " << i;
+    ASSERT_EQ(sim.pending_events(), 65u) << "after re-aim " << i;
   }
-  EXPECT_EQ(sim.pending_events(), 65u);
   sim.run();
   // The last aim (odd i = 9999) targets 10'000 - 4'999 us = 5'001 us: after
   // background event 50 (5'000 us), before 51.
   ASSERT_EQ(order.size(), 65u);
   EXPECT_EQ(order[51], -1);
   EXPECT_EQ(sim.events_fired(), 65u);
-  EXPECT_EQ(sim.queued_records(), 0u);
+  EXPECT_TRUE(sim.empty());
   sim.lane_destroy(lane);
 }
 
@@ -294,7 +266,7 @@ TEST(SimulatorLanes, ReaimLeavesOneQueuedRecord) {
 using ModelKey = std::pair<std::int64_t, std::uint64_t>;
 struct ModelEntry {
   bool lane;
-  std::size_t index;  // into the test's lane or event table
+  std::size_t index;  // into the lane table, or the plain event's schedule order
   friend bool operator==(const ModelEntry&, const ModelEntry&) = default;
 };
 
@@ -304,19 +276,13 @@ void run_random_ops(std::uint64_t seed, int ops) {
     bool self_destroy = false;
     std::optional<ModelKey> key;  // set while armed
   };
-  struct EventState {
-    EventHandle handle;
-    std::optional<ModelKey> key;  // set while pending
-  };
   Simulator sim;
   Rng rng{seed};
   std::map<ModelKey, ModelEntry> live;
-  // Cancelled plain events whose records the heap still holds.
-  std::set<ModelKey> cancelled;
   std::uint64_t next_seq = 0;
   std::vector<LaneState> lanes;
   std::vector<std::size_t> alive;  // indices into lanes
-  std::vector<EventState> events;
+  std::size_t events = 0;          // plain events scheduled so far
   std::vector<ModelEntry> fired;
 
   const auto at_ns = [](std::int64_t ns) {
@@ -333,7 +299,6 @@ void run_random_ops(std::uint64_t seed, int ops) {
     const bool any = sim.step();
     if (live.empty()) {
       ASSERT_FALSE(any);
-      cancelled.clear();
       return;
     }
     ASSERT_TRUE(any);
@@ -341,13 +306,10 @@ void run_random_ops(std::uint64_t seed, int ops) {
     const auto head = live.begin();
     ASSERT_EQ(sim.now().count_nanos(), head->first.first);
     ASSERT_EQ(fired.back(), head->second) << "fired out of (time, seq) order";
-    cancelled.erase(cancelled.begin(), cancelled.lower_bound(head->first));
     if (head->second.lane) {
       LaneState& ln = lanes[head->second.index];
       ln.key.reset();
       if (ln.self_destroy) forget_lane(head->second.index);
-    } else {
-      events[head->second.index].key.reset();
     }
     live.erase(head);
   };
@@ -394,45 +356,30 @@ void run_random_ops(std::uint64_t seed, int ops) {
       // The lane destroys itself from its own callback when it next fires.
       lanes[alive[pick(alive.size())]].self_destroy = true;
     } else if (choice <= 12) {
-      const std::size_t ei = events.size();
+      const std::size_t ei = events++;
       const std::int64_t at = now + rng.uniform_int(0, 20);
-      events.push_back(EventState{});
-      events[ei].handle =
-          sim.schedule_at(at_ns(at), [&, ei] { fired.push_back(ModelEntry{false, ei}); });
-      events[ei].key = ModelKey{at, next_seq++};
-      live.emplace(*events[ei].key, ModelEntry{false, ei});
-    } else if (choice == 13 && !events.empty()) {
-      // Cancelling a fired or cancelled event is a no-op.
-      EventState& ev = events[pick(events.size())];
-      ev.handle.cancel();
-      if (ev.key) {
-        live.erase(*ev.key);
-        cancelled.insert(*ev.key);
-      }
-      ev.key.reset();
+      sim.schedule_at(at_ns(at), [&, ei] { fired.push_back(ModelEntry{false, ei}); });
+      live.emplace(ModelKey{at, next_seq++}, ModelEntry{false, ei});
     } else {
       step();
       if (testing::Test::HasFatalFailure()) return;
     }
     ASSERT_EQ(sim.pending_events(), live.size()) << "seed " << seed << " op " << op;
-    ASSERT_EQ(sim.queued_records(), live.size() + cancelled.size())
-        << "seed " << seed << " op " << op;
     ASSERT_EQ(sim.lane_count(), alive.size());
   }
   while (!live.empty()) {
     step();
     if (testing::Test::HasFatalFailure()) return;
   }
-  step();  // pops what cancelled records remain, fires nothing
-  EXPECT_EQ(sim.queued_records(), 0u);
+  step();  // the queue is empty: fires nothing
   EXPECT_TRUE(sim.empty());
 }
 
 TEST(SimulatorLanes, RandomOpsFireInTimeSeqOrder) {
   // Seeded random mixes of lane create / aim (earlier, later, same instant)
   // / disarm / destroy (also from the lane's own callback), plain
-  // schedule_at / cancel, and step(): every fire must be the live minimum
-  // (time, seq), and the pending and queued counts must match the model.
+  // schedule_at, and step(): every fire must be the live minimum (time,
+  // seq), and the pending count must match the model.
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     run_random_ops(seed, 20'000);
     if (HasFatalFailure()) return;

@@ -165,18 +165,24 @@ void capture_refine_random(std::uint64_t seed, std::size_t n) {
 void capture_sim() {
   sim::Simulator sim;
   Rng rng{12345};
-  std::vector<sim::EventHandle> handles;
+  std::vector<sim::LaneId> lanes;
   std::uint64_t work = 0;
   for (int i = 0; i < 5000; ++i) {
-    auto h = sim.schedule_after(Duration::micros(rng.uniform_int(0, 100000)),
-                                [&work] { ++work; });
-    if (rng.bernoulli(0.25)) handles.push_back(h);
+    const TimePoint at = sim.now() + Duration::micros(rng.uniform_int(0, 100000));
+    if (rng.bernoulli(0.25)) {
+      lanes.push_back(sim.lane_create([&work] { ++work; }));
+      sim.lane_aim(lanes.back(), at);
+    } else {
+      sim.schedule_at(at, [&work] { ++work; });
+    }
   }
-  for (std::size_t i = 0; i < handles.size(); i += 2) handles[i].cancel();
-  sim::EventHandle periodic = sim.schedule_periodic(Duration::micros(700), [&](TimePoint) {
+  for (std::size_t i = 0; i < lanes.size(); i += 2) sim.lane_disarm(lanes[i]);
+  sim::LaneId periodic = sim::kNoLane;
+  periodic = sim.lane_create([&] {
     ++work;
-    if (work > 5500) periodic.cancel();
+    if (work <= 5500) sim.lane_aim(periodic, sim.now() + Duration::micros(700));
   });
+  sim.lane_aim(periodic, sim.now() + Duration::micros(700));
   sim.schedule_after(Duration::millis(3), [&] {
     sim.schedule_after(Duration::millis(1), [&work] { work += 10; });
   });

@@ -327,7 +327,7 @@ ProjectIndex build_index(const Config& cfg, const std::vector<SourceFile>& files
       if (next_call && toks[j + 1].text == "(" && all_caps_macro(t.text)) {
         ++index.macro_uses[t.text];
       }
-      // `FlowId x` / `EventHandle h(...)`: remember every name declared with a
+      // `FlowId x` / `FlowId f(...)`: remember every name declared with a
       // handle type (locals, fields, params, handle-returning functions).
       if (cfg.r7_handle_types.count(t.text) != 0 && j + 2 < toks.size() &&
           toks[j + 1].kind == TokKind::Ident && toks[j + 2].kind == TokKind::Punct) {

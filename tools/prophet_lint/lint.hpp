@@ -17,9 +17,9 @@
 //       thread_local are forbidden outside the sanctioned executor files, and
 //       mutable namespace-scope state must not be reachable from a parallel
 //       sweep's cell closures
-//   R7  handle lifetime: slab {slot, generation} handles (sim::EventHandle,
-//       net::FlowId) must not be narrowed to a raw slot, compared across
-//       pools, or reused after cancel in the same scope
+//   R7  handle lifetime: slab {slot, generation} handles (net::FlowId) must
+//       not be narrowed to a raw slot, compared across pools, or reused
+//       after cancel in the same scope
 //   R8  unit safety: identifiers tagged _ns/_us/_ms/_s/_bytes/_bps must not
 //       mix units in arithmetic, comparison or assignment, and call-site
 //       argument units must match the declared parameter's tag
@@ -92,7 +92,7 @@ struct Config {
   std::set<std::string> r9_sanctioned;
 
   // R7: type names treated as slab {slot, generation} handles.
-  std::set<std::string> r7_handle_types{"EventHandle", "FlowId"};
+  std::set<std::string> r7_handle_types{"FlowId"};
   // R9: functions whose status/optional return must not be discarded.
   std::set<std::string> r9_must_use;
 

@@ -147,8 +147,7 @@ void check_handle_lifetime(const SourceFile& f, const TokenizedFile& tf,
 
   static const std::set<std::string> kNarrowTypes = {
       "uint32_t", "int32_t", "uint16_t", "int16_t", "int", "unsigned", "short"};
-  static const std::set<std::string> kPoolFactories = {
-      "start_flow", "schedule_at", "schedule_after", "schedule_periodic"};
+  static const std::set<std::string> kPoolFactories = {"start_flow"};
 
   // name -> pool object it was produced from ("" unknown): `x = net.start_flow(`.
   std::map<std::string, std::string> provenance;
@@ -205,7 +204,7 @@ void check_handle_lifetime(const SourceFile& f, const TokenizedFile& tf,
       continue;
     }
 
-    // Provenance: `x = obj.start_flow(` or `FlowId x = obj.schedule_at(`.
+    // Provenance: `x = obj.start_flow(` or `FlowId x = obj.start_flow(`.
     if (i + 5 < toks.size() && is_punct(toks[i + 1], "=") &&
         toks[i + 2].kind == TokKind::Ident &&
         (is_punct(toks[i + 3], ".") || is_punct(toks[i + 3], "->")) &&
